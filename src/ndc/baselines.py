@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, class_index_sets
+from .data import LabeledDataset, class_index_sets, feature_rows, row_sq_norms, sq_distances
 
 
 # ---------------------------------------------------------------------------
@@ -31,9 +31,7 @@ def nc_fit(ds: LabeledDataset) -> NcModel:
 
 
 def nc_predict_many(model: NcModel, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != model.p:
-        raise ValueError(f"expected {model.p} features, got {x.shape[1]}")
+    x = feature_rows(x, model.p)
     d2 = np.square(x[:, None, :] - model.centroids[None, :, :]).sum(axis=2)
     return d2.argmin(axis=1) + 1
 
@@ -108,9 +106,7 @@ def nsc_fit(ds: LabeledDataset, delta: float) -> NscModel:
 def nsc_scores_many(model: NscModel, x: np.ndarray) -> np.ndarray:
     """Discriminant score per class: standardized squared distance to the
     shrunken centroid minus twice the log prior (smaller is better)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != model.p:
-        raise ValueError(f"expected {model.p} features, got {x.shape[1]}")
+    x = feature_rows(x, model.p)
     z = (x[:, None, :] - model.shrunken[None, :, :]) / model.scale[None, None, :]
     return np.square(z).sum(axis=2) - 2.0 * np.log(model.priors)[None, :]
 
@@ -150,18 +146,13 @@ def knn_fit(ds: LabeledDataset, m: int = 15) -> KnnModel:
 
 
 def knn_predict_many(model: KnnModel, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != model.p:
-        raise ValueError(f"expected {model.p} features, got {x.shape[1]}")
-    d2 = np.square(x[:, None, :] - model.x[None, :, :]).sum(axis=2)
+    x = feature_rows(x, model.p)
+    d2 = sq_distances(x, row_sq_norms(x), model.x, row_sq_norms(model.x))
     # stable sort: equal distances resolve to the smaller training row
     neighbors = np.argsort(d2, axis=1, kind="stable")[:, :model.m]
     votes = model.labels[neighbors]
-    out = np.empty(x.shape[0], dtype=np.int64)
-    for r in range(x.shape[0]):
-        counts = np.bincount(votes[r], minlength=model.k + 1)
-        out[r] = counts[1:].argmax() + 1
-    return out
+    counts = (votes[:, :, None] == np.arange(1, model.k + 1)).sum(axis=1)
+    return counts.argmax(axis=1) + 1
 
 
 def knn_predict(model: KnnModel, x) -> int:

@@ -16,7 +16,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import FeaturePartition, LabeledDataset, class_index_sets, validate_partition
+from .data import (
+    FeaturePartition,
+    LabeledDataset,
+    class_index_sets,
+    feature_rows,
+    validate_partition,
+)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -70,9 +76,7 @@ def with_lambda(model: NdcModel, lam: float | None) -> NdcModel:
 
 def predict_scores_many(model: NdcModel, x: np.ndarray) -> np.ndarray:
     """Squared dn-distance of each row of ``x`` to each class centroid."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != model.p:
-        raise ValueError(f"expected {model.p} features, got {x.shape[1]}")
+    x = feature_rows(x, model.p)
     scores = np.empty((x.shape[0], model.k))
     for j, (g, c) in enumerate(zip(model.partition.class_groups, model.centroids)):
         scores[:, j] = np.square(x[:, g] - c).mean(axis=1)
@@ -133,18 +137,61 @@ def save_model(model: NdcModel, path) -> None:
 
 
 def load_model(path) -> NdcModel:
+    """Read a model file written by `save_model`.
+
+    The whole document is checked before the model is built; any missing
+    key, wrong type, unsorted group, non-finite centroid value or length
+    mismatch raises ValueError.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("model file must hold a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {doc.get('format_version')!r}")
-    has_special = bool(doc["has_special"])
-    groups = tuple(np.asarray(g, dtype=np.int64) - 1 for g in doc["partition"])
-    part = FeaturePartition(groups, has_special=has_special)
-    centroids = [np.asarray(c, dtype=np.float64) for c in doc["centroids"]]
-    if has_special:
-        centroids = centroids[1:]
+    missing = [key for key in ("k", "p", "has_special", "partition", "centroids")
+               if key not in doc]
+    if missing:
+        raise ValueError(f"model file lacks {', '.join(missing)}")
+    k, p, has_special = doc["k"], doc["p"], doc["has_special"]
+    if not (_is_int(k) and _is_int(p) and k >= 1 and p >= 1):
+        raise ValueError("model k and p must be positive integers")
+    if not isinstance(has_special, bool):
+        raise ValueError("model has_special must be true or false")
+    slots = k + has_special
+    for key in ("partition", "centroids"):
+        if not (isinstance(doc[key], list) and len(doc[key]) == slots):
+            raise ValueError(f"model {key} must be a list of {slots} arrays")
+    groups, centroids = [], []
+    for pos, (g, c) in enumerate(zip(doc["partition"], doc["centroids"])):
+        if not (isinstance(g, list) and all(_is_int(i) for i in g)):
+            raise ValueError(f"model partition slot {pos} must hold integer feature indices")
+        if any(b <= a for a, b in zip(g, g[1:])):
+            raise ValueError(f"model partition slot {pos} must list its indices in increasing order")
+        if not (isinstance(c, list) and all(_is_number(v) for v in c)):
+            raise ValueError(f"model centroid slot {pos} must hold numbers")
+        want = 0 if has_special and pos == 0 else len(g)
+        if len(c) != want:
+            raise ValueError(f"model centroid slot {pos} has {len(c)} values, expected {want}")
+        centroid = np.asarray(c, dtype=np.float64)
+        if not np.isfinite(centroid).all():
+            raise ValueError(f"model centroid slot {pos} holds a NaN or infinite value")
+        groups.append(np.asarray(g, dtype=np.int64) - 1)
+        centroids.append(centroid)
     lam = doc.get("lambda")
     if lam == "inf":
         lam = math.inf
-    return NdcModel(part, tuple(centroids), k=int(doc["k"]), p=int(doc["p"]),
-                    lambda_used=lam)
+    elif lam is not None and not (_is_number(lam) and lam > 0):
+        raise ValueError(f"model lambda must be a positive number or \"inf\", got {lam!r}")
+    part = FeaturePartition(tuple(groups), has_special=has_special)
+    if has_special:
+        centroids = centroids[1:]
+    return NdcModel(part, tuple(centroids), k=k, p=p, lambda_used=lam)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

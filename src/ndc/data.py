@@ -1,4 +1,5 @@
-"""Core dataset types, the dimensionality-normalized norm, and CSV ingestion.
+"""Core dataset types, the dimensionality-normalized norm, the Gram-form
+distance kernel, row checks for prediction input, and CSV ingestion.
 
 Conventions
 -----------
@@ -149,6 +150,25 @@ def dn_norm_sq(v) -> float:
     return float(np.mean(np.square(v)))
 
 
+def row_sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of ``a``."""
+    return np.einsum("ij,ij->i", a, a)
+
+
+def sq_distances(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` and ``b``.
+
+    Gram form ||a||^2 - 2 a.b + ||b||^2 with the row norms passed in, so
+    callers can compute them once; one BLAS product makes the cross term
+    and the result is clamped at 0 against cancellation.
+    """
+    d2 = a @ b.T
+    d2 *= -2.0
+    d2 += a_sq[:, None]
+    d2 += b_sq[None, :]
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def restrict(x, indices) -> np.ndarray:
     """Entries of ``x`` at the given 0-based indices, ascending.
 
@@ -161,6 +181,24 @@ def restrict(x, indices) -> np.ndarray:
     if idx[0] < 0 or idx[-1] >= x.shape[-1]:
         raise IndexError(f"feature index out of range 0..{x.shape[-1] - 1}")
     return x[..., idx]
+
+
+def feature_rows(x, p: int) -> np.ndarray:
+    """Rows to classify, as a 2-D float64 array of ``p`` columns.
+
+    A single 1-D row is accepted.  Raises ValueError on a column-count
+    mismatch and on the first row (1-based) holding a NaN or infinity.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.ndim != 2:
+        raise ValueError(f"expected a 2-D array of rows, got {x.ndim} dimensions")
+    if x.shape[1] != p:
+        raise ValueError(f"expected {p} features, got {x.shape[1]}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite.all(axis=1))[0]) + 1
+        raise ValueError(f"row {bad} holds a NaN or infinite value")
+    return x
 
 
 def class_index_sets(ds: LabeledDataset) -> list[np.ndarray]:
@@ -245,6 +283,11 @@ def _read_csv(path, label_col, require_labels, keep_raw=False):
                 raise CsvFormatError(
                     f"{path}: row {r + 2}: non-integer label {row[label_idx]!r}"
                 ) from None
+    finite = np.isfinite(x)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise CsvFormatError(f"{path}: row {r + 2}, column '{header[feat_idx[c]]}': "
+                             f"non-finite value {rows[r][feat_idx[c]]!r}")
     if keep_raw:
         return x, labels, header, rows
     return x, labels, header

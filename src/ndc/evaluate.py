@@ -34,7 +34,13 @@ from .baselines import (
 )
 from .classifier import predict_many
 from .data import LabeledDataset
-from .kmeans import FitConfig, fit_best
+from .kmeans import (
+    EmptyGroupError,
+    FitConfig,
+    FitFailedError,
+    RestartsExhaustedError,
+    fit_best,
+)
 from .simulate import generate, preset
 
 DEFAULT_LAMBDA_GRID = (0.6, 0.8, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, math.inf)
@@ -42,6 +48,11 @@ DEFAULT_LAMBDA_GRID = (0.6, 0.8, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, math.inf)
 RUNNABLE_CLASSIFIERS = ("ndc", "ndc-s", "nc", "nsc", "knn")
 UNAVAILABLE_CLASSIFIERS = ("lda", "svm", "logistic")
 _ALIASES = {"ndcs": "ndc-s", "ndc_s": "ndc-s"}
+
+# What a fit raises on data it cannot handle; a benchmark unit or tuning
+# candidate that raises one of these is counted as failed.  Anything else
+# is a programming error and propagates.
+_FIT_FAILURES = (EmptyGroupError, RestartsExhaustedError, FitFailedError, ValueError)
 
 
 def canonical_classifier(name: str) -> str:
@@ -141,14 +152,14 @@ def tune_lambda(train: LabeledDataset, grid, cv: CvConfig,
                                seed=rngmod.child_seed(nested.seed, "lam", i, "fold", f))
             try:
                 _, model, _ = fit_best(_subset(train, tr), config)
-            except Exception:
+            except _FIT_FAILURES:
                 continue
             fold_errors.append(misclassification_rate(
                 predict_many(model, train.x[va]), train.labels[va]))
         if fold_errors:
             mean_errors[lam] = float(np.mean(fold_errors))
     if not mean_errors:
-        raise RuntimeError("every multiplier candidate failed all nested fits")
+        raise FitFailedError("every multiplier candidate failed all nested fits")
     best_err = min(mean_errors.values())
     best = max(lam for lam, err in mean_errors.items() if err == best_err)
     return best, mean_errors
@@ -169,14 +180,14 @@ def tune_delta(train: LabeledDataset, cv: CvConfig,
         for tr, va in splits:
             try:
                 model = nsc_fit(_subset(train, tr), float(delta))
-            except Exception:
+            except _FIT_FAILURES:
                 continue
             fold_errors.append(misclassification_rate(
                 nsc_predict_many(model, train.x[va]), train.labels[va]))
         if fold_errors:
             mean_errors[float(delta)] = float(np.mean(fold_errors))
     if not mean_errors:
-        raise RuntimeError("every shrinkage candidate failed all nested fits")
+        raise FitFailedError("every shrinkage candidate failed all nested fits")
     best_err = min(mean_errors.values())
     best = max(d for d, err in mean_errors.items() if err == best_err)
     return best, mean_errors
@@ -315,7 +326,7 @@ def _sim_rep(args) -> list[tuple[str, float | None, float, dict, str]]:
             err, feats, params = _fit_and_score(name, train, test.x, test.labels,
                                                 rep_seed, options)
             out.append((name, err, feats, params, ""))
-        except Exception as exc:
+        except _FIT_FAILURES as exc:
             out.append((name, None, 0.0, {}, f"{type(exc).__name__}: {exc}"))
     return out
 
@@ -373,7 +384,7 @@ def run_cv_benchmark(ds: LabeledDataset, classifiers, cv: CvConfig,
             try:
                 err, feats, params = _fit_and_score(
                     name, train, ds.x[te], ds.labels[te], fold_seed, options)
-            except Exception:
+            except _FIT_FAILURES:
                 stats[name].failures += 1
                 continue
             stats[name].errors.append(err)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .classifier import NdcModel, compute_centroids, training_error, with_lambda
-from .data import FeaturePartition, LabeledDataset, class_index_sets
+from .data import FeaturePartition, LabeledDataset, class_index_sets, row_sq_norms, sq_distances
 
 
 class EmptyGroupError(ValueError):
@@ -48,7 +48,8 @@ class RestartsExhaustedError(RuntimeError):
 
 
 class FitFailedError(RuntimeError):
-    """All restarts of fit_best failed."""
+    """No fit succeeded: all restarts of fit_best, or every candidate of a
+    nested-CV tuning grid, failed."""
 
 
 @dataclass(frozen=True)
@@ -95,18 +96,49 @@ class ClusterCenters:
     has_special: bool = False
 
 
+@dataclass(frozen=True)
+class FitData:
+    """Per-dataset quantities that every restart of a fit shares.
+
+    ``points`` is the transposed data matrix (one row per feature) and
+    ``point_sq`` the squared norms of those rows.  ``class_x[j]`` holds
+    the rows of class j + 1 as one contiguous block, in their original
+    order, and ``class_sq[j]`` the squared norms of its columns.
+    """
+
+    points: np.ndarray
+    point_sq: np.ndarray
+    class_x: tuple[np.ndarray, ...]
+    class_sq: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, ds: LabeledDataset) -> "FitData":
+        points = np.ascontiguousarray(ds.x.T)
+        class_x = tuple(ds.x[s] for s in class_index_sets(ds))
+        return cls(points, row_sq_norms(points), class_x,
+                   tuple(row_sq_norms(xs.T) for xs in class_x))
+
+
 def kmeans_rows(points: np.ndarray, n_clusters: int, rng: np.random.Generator,
-                max_iters: int = 100) -> np.ndarray:
+                max_iters: int = 100, point_sq: np.ndarray | None = None) -> np.ndarray:
     """Standard Euclidean k-means (k-means++ seeding, Lloyd iterations).
 
+    ``point_sq`` holds the squared row norms when the caller has them.
     Returns the cluster label of each row; clusters may come out empty.
     """
     n = points.shape[0]
     if n_clusters > n:
         raise ValueError("more clusters than points")
+    if point_sq is None:
+        point_sq = row_sq_norms(points)
+
+    def sq_distances_to(i):
+        return sq_distances(points, point_sq, points[i:i + 1], point_sq[i:i + 1])[:, 0]
+
     centers = np.empty((n_clusters, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = np.square(points - centers[0]).sum(axis=1)
+    idx = rng.integers(n)
+    centers[0] = points[idx]
+    d2 = sq_distances_to(idx)
     for j in range(1, n_clusters):
         total = d2.sum()
         if total > 0:
@@ -114,10 +146,10 @@ def kmeans_rows(points: np.ndarray, n_clusters: int, rng: np.random.Generator,
         else:
             idx = rng.integers(n)
         centers[j] = points[idx]
-        d2 = np.minimum(d2, np.square(points - centers[j]).sum(axis=1))
+        d2 = np.minimum(d2, sq_distances_to(idx))
     labels = None
     for _ in range(max_iters):
-        dist = np.square(points[:, None, :] - centers[None, :, :]).sum(axis=2)
+        dist = sq_distances(points, point_sq, centers, row_sq_norms(centers))
         new_labels = dist.argmin(axis=1)
         if labels is not None and np.array_equal(new_labels, labels):
             break
@@ -130,22 +162,26 @@ def kmeans_rows(points: np.ndarray, n_clusters: int, rng: np.random.Generator,
 
 
 def init_partition(ds: LabeledDataset, n_groups: int, rng: np.random.Generator,
-                   max_attempts: int = 50) -> FeaturePartition:
+                   max_attempts: int = 50, *, fit_data: FitData | None = None
+                   ) -> FeaturePartition:
     """Initial partition from k-means over the transposed data matrix.
 
     ``n_groups`` is k for the no-selection algorithm and k + 1 with
     feature selection, in which case the most populated cluster is
     designated the special group (ties to the smallest cluster index).
-    Seeding is retried when k-means leaves a cluster empty.
+    Seeding is retried when k-means leaves a cluster empty.  ``fit_data``
+    (here and in the functions below) is ``FitData.of(ds)``, built by the
+    caller once per dataset.
     """
     if n_groups not in (ds.k, ds.k + 1):
         raise ValueError("n_groups must be k or k + 1")
     if n_groups > ds.p:
         raise ValueError("cannot form more groups than features")
     has_special = n_groups == ds.k + 1
-    points = np.ascontiguousarray(ds.x.T)
+    if fit_data is None:
+        fit_data = FitData.of(ds)
     for _ in range(max_attempts):
-        labels = kmeans_rows(points, n_groups, rng)
+        labels = kmeans_rows(fit_data.points, n_groups, rng, point_sq=fit_data.point_sq)
         sizes = np.bincount(labels, minlength=n_groups)
         if sizes.min() > 0:
             break
@@ -159,21 +195,44 @@ def init_partition(ds: LabeledDataset, n_groups: int, rng: np.random.Generator,
     return FeaturePartition(groups, has_special=has_special)
 
 
-def update_centers(ds: LabeledDataset, part: FeaturePartition) -> ClusterCenters:
+def update_centers(ds: LabeledDataset, part: FeaturePartition, *,
+                   fit_data: FitData | None = None) -> ClusterCenters:
     """Recompute the alternation centers for the current partition."""
-    class_rows = class_index_sets(ds)
+    if fit_data is None:
+        fit_data = FitData.of(ds)
     centers: list[np.ndarray | None] = []
     if part.has_special:
         special = part.special
         centers.append(ds.x[:, special].mean(axis=1) if len(special) else None)
-    for g, s in zip(part.class_groups, class_rows):
+    for g, xs in zip(part.class_groups, fit_data.class_x):
         if len(g) == 0:
             raise EmptyGroupError("empty class group; the run must restart")
-        centers.append(ds.x[np.ix_(s, g)].mean(axis=1))
+        centers.append(xs[:, g].mean(axis=1))
     return ClusterCenters(tuple(centers), has_special=part.has_special)
 
 
-def assign_rows(ds: LabeledDataset, centers: ClusterCenters, lam: float) -> FeaturePartition:
+def _dn_distances(fit_data: FitData, centers: ClusterCenters, lam: float) -> np.ndarray:
+    """The (p x groups) matrix that `assign_rows` minimizes over: each
+    feature's dn-distance to each center on that center's rows, the
+    special column scaled by ``lam`` (inf where the special group is
+    barred or has no center)."""
+    def dn(cols, cols_sq, m):
+        d2 = sq_distances(cols, cols_sq, m[None, :], row_sq_norms(m[None, :]))[:, 0]
+        return np.sqrt(d2 / len(m))
+
+    dist = np.full((len(fit_data.points), len(centers.centers)), np.inf)
+    offset = 1 if centers.has_special else 0
+    if centers.has_special:
+        m0 = centers.centers[0]
+        if m0 is not None and not math.isinf(lam):
+            dist[:, 0] = lam * dn(fit_data.points, fit_data.point_sq, m0)
+    for j, (xs, xs_sq) in enumerate(zip(fit_data.class_x, fit_data.class_sq)):
+        dist[:, j + offset] = dn(xs.T, xs_sq, centers.centers[j + offset])
+    return dist
+
+
+def assign_rows(ds: LabeledDataset, centers: ClusterCenters, lam: float, *,
+                fit_data: FitData | None = None) -> FeaturePartition:
     """Reassign every feature to its nearest center.
 
     Distances are dn-distances on each group's own rows; the special
@@ -181,19 +240,10 @@ def assign_rows(ds: LabeledDataset, centers: ClusterCenters, lam: float) -> Feat
     special group outright).  Ties go to the smallest group index, the
     special group being index 0.
     """
-    class_rows = class_index_sets(ds)
-    n_cols = len(centers.centers)
-    dist = np.full((ds.p, n_cols), np.inf)
-    offset = 1 if centers.has_special else 0
-    if centers.has_special:
-        m0 = centers.centers[0]
-        if m0 is not None and not math.isinf(lam):
-            dist[:, 0] = lam * np.sqrt(np.square(ds.x - m0[:, None]).mean(axis=0))
-    for j, s in enumerate(class_rows):
-        m = centers.centers[j + offset]
-        dist[:, j + offset] = np.sqrt(np.square(ds.x[s, :] - m[:, None]).mean(axis=0))
-    assignment = dist.argmin(axis=1)
-    groups = tuple(np.flatnonzero(assignment == j) for j in range(n_cols))
+    if fit_data is None:
+        fit_data = FitData.of(ds)
+    assignment = _dn_distances(fit_data, centers, lam).argmin(axis=1)
+    groups = tuple(np.flatnonzero(assignment == j) for j in range(len(centers.centers)))
     return FeaturePartition(groups, has_special=centers.has_special)
 
 
@@ -201,30 +251,33 @@ def clustering_objective(ds: LabeledDataset, part: FeaturePartition) -> float:
     """The alternation's own objective: total squared dn-distance of each
     feature to its group's freshly recomputed center (special group
     included, unscaled).  Non-increasing across update/assign rounds."""
-    centers = update_centers(ds, part)
-    class_rows = class_index_sets(ds)
+    fit_data = FitData.of(ds)
+    centers = update_centers(ds, part, fit_data=fit_data)
     total = 0.0
     if part.has_special and len(part.special):
         m0 = centers.centers[0]
         total += np.square(ds.x[:, part.special] - m0[:, None]).mean(axis=0).sum()
     offset = 1 if part.has_special else 0
-    for j, (g, s) in enumerate(zip(part.class_groups, class_rows)):
+    for j, (g, xs) in enumerate(zip(part.class_groups, fit_data.class_x)):
         m = centers.centers[j + offset]
-        total += np.square(ds.x[np.ix_(s, g)] - m[:, None]).mean(axis=0).sum()
+        total += np.square(xs[:, g] - m[:, None]).mean(axis=0).sum()
     return float(total)
 
 
-def refine_partition(ds: LabeledDataset, part: FeaturePartition, config: FitConfig):
+def refine_partition(ds: LabeledDataset, part: FeaturePartition, config: FitConfig, *,
+                     fit_data: FitData | None = None):
     """Run the update/assign alternation from ``part`` until the partition
     repeats or ``max_iters`` is hit.
 
     Returns ``(partition, iterations)``; raises EmptyGroupError if a
     class group empties (the caller restarts from a fresh initialization).
     """
+    if fit_data is None:
+        fit_data = FitData.of(ds)
     current = part
     for it in range(1, config.max_iters + 1):
-        centers = update_centers(ds, current)
-        new = assign_rows(ds, centers, config.lam)
+        centers = update_centers(ds, current, fit_data=fit_data)
+        new = assign_rows(ds, centers, config.lam, fit_data=fit_data)
         for g in new.class_groups:
             if len(g) == 0:
                 raise EmptyGroupError("empty class group during alternation")
@@ -234,19 +287,22 @@ def refine_partition(ds: LabeledDataset, part: FeaturePartition, config: FitConf
     return current, config.max_iters
 
 
-def lloyd_fit(ds: LabeledDataset, config: FitConfig, rng: np.random.Generator) -> FeaturePartition:
+def lloyd_fit(ds: LabeledDataset, config: FitConfig, rng: np.random.Generator, *,
+              fit_data: FitData | None = None) -> FeaturePartition:
     """One full run: initialize, then alternate to convergence.
 
     Runs that hit an empty class group are abandoned and re-initialized,
     up to ``config.max_restart_attempts_on_empty`` total attempts.
     """
     n_groups = ds.k + (1 if config.with_selection else 0)
+    if fit_data is None:
+        fit_data = FitData.of(ds)
     attempts = 0
     while attempts < config.max_restart_attempts_on_empty:
         attempts += 1
         try:
-            part = init_partition(ds, n_groups, rng, max_attempts=1)
-            refined, _ = refine_partition(ds, part, config)
+            part = init_partition(ds, n_groups, rng, max_attempts=1, fit_data=fit_data)
+            refined, _ = refine_partition(ds, part, config, fit_data=fit_data)
             return refined
         except (RestartsExhaustedError, EmptyGroupError):
             continue
@@ -262,10 +318,11 @@ def fit_best(ds: LabeledDataset, config: FitConfig):
     """
     best: tuple[float, int, FeaturePartition, NdcModel] | None = None
     failures = 0
+    fit_data = FitData.of(ds)
     for r in range(config.restarts):
         stream = rngmod.generator(config.seed, "restart", r)
         try:
-            part = lloyd_fit(ds, config, stream)
+            part = lloyd_fit(ds, config, stream, fit_data=fit_data)
         except RestartsExhaustedError:
             failures += 1
             continue

@@ -196,3 +196,21 @@ def test_knn_bounds():
         knn_fit(ds, m=0)
     with pytest.raises(ValueError):
         knn_fit(ds, m=3)
+
+
+@pytest.mark.parametrize("fit_predict", [
+    lambda ds: (nc_fit(ds), nc_predict_many),
+    lambda ds: (nsc_fit(ds, 0.5), nsc_scores_many),
+    lambda ds: (knn_fit(ds, m=3), knn_predict_many),
+])
+def test_baselines_reject_non_finite_row(fit_predict):
+    rng = np.random.default_rng(36)
+    ds = random_dataset(rng, k=2, p=3, n_per_class=5)
+    model, predict_rows = fit_predict(ds)
+    x = rng.normal(size=(4, 3))
+    x[1, 2] = np.inf
+    x[3, 0] = np.nan
+    with pytest.raises(ValueError, match=r"\brow 2\b"):
+        predict_rows(model, x)
+    with pytest.raises(ValueError, match="expected 3 features"):
+        predict_rows(model, x[:, :2])

@@ -93,6 +93,14 @@ def test_dimension_mismatch_rejected(toy_ds, toy_partition):
         predict(model, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_predict_rejects_non_finite_row(toy_ds, toy_partition, bad):
+    model = compute_centroids(toy_ds, toy_partition)
+    x = np.array([[0.0, 5.0], [4.0, 6.0], [bad, 6.0], [bad, bad]])
+    with pytest.raises(ValueError, match=r"\brow 3\b"):
+        predict_many(model, x)
+
+
 def test_empirical_risk_toy(toy_ds, toy_partition, toy_partition_swapped):
     optimal = compute_centroids(toy_ds, toy_partition)
     assert empirical_risk(toy_ds, optimal) == 0.0
@@ -189,3 +197,52 @@ def test_model_json_inf_lambda(tmp_path, toy_ds, toy_partition):
 def _cyclic_partition(p, k):
     assignment = np.arange(p) % k
     return FeaturePartition(tuple(np.flatnonzero(assignment == j) for j in range(k)))
+
+
+def _toy_model_doc():
+    return {"format_version": 1, "k": 2, "p": 3, "has_special": True,
+            "partition": [[3], [1], [2]], "centroids": [[], [0.5], [6.0]]}
+
+
+def test_load_model_accepts_valid_document(tmp_path):
+    import json
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**_toy_model_doc(), "lambda": 0.9}))
+    model = load_model(path)
+    assert model.partition.special.tolist() == [2]
+    assert model.centroids[1].tolist() == [6.0]
+    assert model.lambda_used == 0.9
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d.pop("has_special"), "lacks has_special"),
+    (lambda d: d.pop("centroids"), "lacks centroids"),
+    (lambda d: d.update(k="2"), "positive integers"),
+    (lambda d: d.update(p=True), "positive integers"),
+    (lambda d: d.update(has_special=1), "has_special"),
+    (lambda d: d.update(partition=[[3], [1, 2]]), "list of 3"),
+    (lambda d: d.update(centroids={"1": [0.5]}), "list of 3"),
+    (lambda d: d["partition"].__setitem__(1, [1.0]), "integer feature indices"),
+    (lambda d: d["partition"].__setitem__(1, [2, 1]), "increasing order"),
+    (lambda d: d["centroids"].__setitem__(2, ["6.0"]), "numbers"),
+    (lambda d: d["centroids"].__setitem__(2, [float("nan")]), "NaN or infinite"),
+    (lambda d: d["centroids"].__setitem__(2, [6.0, 1.0]), "2 values, expected 1"),
+    (lambda d: d["centroids"].__setitem__(0, [1.0]), "1 values, expected 0"),
+    (lambda d: d.__setitem__("lambda", -1.0), "lambda"),
+    (lambda d: d["partition"].__setitem__(1, [4]), "out of range"),
+])
+def test_load_model_rejects_bad_document(tmp_path, change, message):
+    import json
+    doc = _toy_model_doc()
+    change(doc)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
+
+
+def test_load_model_rejects_non_object(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="JSON object"):
+        load_model(path)

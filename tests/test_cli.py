@@ -123,6 +123,28 @@ def test_predict_empty_rows_exit_2(tmp_path, toy_csv):
     assert main(["predict", str(model), str(empty), "--out", str(tmp_path / "p.csv")]) == 2
 
 
+def test_predict_non_finite_row_exit_2(tmp_path, toy_csv, capsys):
+    model = tmp_path / "model.json"
+    main(["fit", str(toy_csv), "--restarts", "3", "--seed", "1", "--out", str(model)])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x1,x2\n0.0,5.0\n1.0,nan\n-inf,2.0\n")
+    capsys.readouterr()
+    assert main(["predict", str(model), str(bad), "--out", str(tmp_path / "p.csv")]) == 2
+    # rows are numbered as in the file, the header being row 1
+    assert "row 3, column 'x2': non-finite value 'nan'" in capsys.readouterr().err
+
+
+def test_predict_model_without_has_special_exit_2(tmp_path, toy_csv, capsys):
+    model = tmp_path / "model.json"
+    main(["fit", str(toy_csv), "--restarts", "3", "--seed", "1", "--out", str(model)])
+    doc = json.loads(model.read_text())
+    del doc["has_special"]
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["predict", str(model), str(toy_csv), "--out", str(tmp_path / "p.csv")]) == 2
+    assert "has_special" in capsys.readouterr().err
+
+
 def test_predict_ignores_special_group_columns(tmp_path):
     rng = np.random.default_rng(60)
     ds = LabeledDataset.from_arrays(rng.normal(size=(6, 3)), [1, 1, 1, 2, 2, 2])

@@ -147,6 +147,15 @@ def test_csv_non_numeric_cell_rejected(tmp_path):
         read_labeled_csv(path)
 
 
+def test_csv_non_finite_cell_rejected(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("label,x1,x2\n1,0.5,1.0\n2,1.0,inf\n1,nan,0.0\n")
+    with pytest.raises(CsvFormatError, match=r"row 3, column 'x2': non-finite value 'inf'"):
+        read_labeled_csv(path)
+    with pytest.raises(CsvFormatError, match="row 3"):
+        read_feature_csv(path)
+
+
 def test_csv_missing_label_column(tmp_path):
     path = tmp_path / "nolabel.csv"
     path.write_text("x1,x2\n1.0,2.0\n")

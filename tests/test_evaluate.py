@@ -97,6 +97,18 @@ def test_tune_lambda_skips_always_failing_candidate():
     assert 0.5 not in errors
 
 
+def test_tune_lambda_lets_programming_errors_escape(monkeypatch, toy_ds):
+    import ndc.evaluate
+
+    def broken_fit(ds, config):
+        raise TypeError("broken fit")
+
+    monkeypatch.setattr(ndc.evaluate, "fit_best", broken_fit)
+    ds = LabeledDataset.from_arrays(np.tile(toy_ds.x, (3, 1)), np.tile(toy_ds.labels, 3))
+    with pytest.raises(TypeError, match="broken fit"):
+        tune_lambda(ds, (0.8, math.inf), CvConfig(seed=0))
+
+
 def test_tune_delta_picks_largest_on_ties():
     rng = np.random.default_rng(103)
     # strongly separated classes: many thresholds reach zero CV error and

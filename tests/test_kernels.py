@@ -1,0 +1,179 @@
+"""The Gram-form distance kernels against the broadcast forms they replaced.
+
+The reference functions below are the earlier implementations, kept as
+they were: each builds the full difference array and sums its squares.
+The Gram form sums in another order, so distances are compared with a
+relative tolerance fixed from float64 rounding, and labels exactly.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import block_dataset, random_dataset
+from ndc import rng as rngmod
+from ndc.baselines import knn_fit, knn_predict_many
+from ndc.classifier import compute_centroids, predict_many
+from ndc.data import FeaturePartition, LabeledDataset
+from ndc.kmeans import (
+    ClusterCenters,
+    FitData,
+    _dn_distances,
+    assign_rows,
+    init_partition,
+    kmeans_rows,
+    update_centers,
+)
+
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+def ref_knn_predict_many(model, x):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    d2 = np.square(x[:, None, :] - model.x[None, :, :]).sum(axis=2)
+    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :model.m]
+    votes = model.labels[neighbors]
+    out = np.empty(x.shape[0], dtype=np.int64)
+    for r in range(x.shape[0]):
+        counts = np.bincount(votes[r], minlength=model.k + 1)
+        out[r] = counts[1:].argmax() + 1
+    return out
+
+
+def ref_kmeans_rows(points, n_clusters, rng, max_iters=100):
+    n = points.shape[0]
+    centers = np.empty((n_clusters, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = np.square(points - centers[0]).sum(axis=1)
+    for j in range(1, n_clusters):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centers[j] = points[idx]
+        d2 = np.minimum(d2, np.square(points - centers[j]).sum(axis=1))
+    labels = None
+    for _ in range(max_iters):
+        dist = np.square(points[:, None, :] - centers[None, :, :]).sum(axis=2)
+        new_labels = dist.argmin(axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(n_clusters):
+            members = points[labels == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+    return labels
+
+
+def ref_dn_distances(ds, centers, lam):
+    class_rows = [np.flatnonzero(ds.labels == j) for j in range(1, ds.k + 1)]
+    dist = np.full((ds.p, len(centers.centers)), np.inf)
+    offset = 1 if centers.has_special else 0
+    if centers.has_special:
+        m0 = centers.centers[0]
+        if m0 is not None and not math.isinf(lam):
+            dist[:, 0] = lam * np.sqrt(np.square(ds.x - m0[:, None]).mean(axis=0))
+    for j, s in enumerate(class_rows):
+        m = centers.centers[j + offset]
+        dist[:, j + offset] = np.sqrt(np.square(ds.x[s, :] - m[:, None]).mean(axis=0))
+    return dist
+
+
+def test_knn_matches_cube_form():
+    rng = np.random.default_rng(101)
+    for _ in range(10):
+        train = random_dataset(rng, k=3, p=int(rng.integers(2, 12)), n_per_class=20)
+        x = rng.normal(size=(50, train.p)) + train.x.mean(axis=0)
+        for m in (1, 4, 15):
+            model = knn_fit(train, m=m)
+            np.testing.assert_array_equal(knn_predict_many(model, x),
+                                          ref_knn_predict_many(model, x))
+
+
+def test_knn_duplicated_training_rows_go_to_earlier_row():
+    rng = np.random.default_rng(102)
+    for _ in range(10):
+        base = rng.normal(size=(12, 6)) * 3.0
+        # every row appears twice, the copies carrying the other label
+        x = np.vstack([base, base])
+        labels = np.concatenate([np.repeat([1, 2], 6), np.repeat([2, 1], 6)])
+        model = knn_fit(LabeledDataset.from_arrays(x, labels), m=1)
+        probes = np.vstack([base, base + 0.01 * rng.normal(size=base.shape)])
+        got = knn_predict_many(model, probes)
+        np.testing.assert_array_equal(got, ref_knn_predict_many(model, probes))
+        # a probe equal to a row finds the earlier copy first
+        np.testing.assert_array_equal(got[:12], labels[:12])
+
+
+def test_kmeans_rows_labels_match_reference():
+    rng = np.random.default_rng(103)
+    for trial in range(12):
+        ds = block_dataset(rng, k=3, n_per_class=int(rng.integers(5, 40)),
+                           d=int(rng.integers(2, 6)), sigma2=1.8, r=int(rng.integers(0, 8)))
+        points = np.ascontiguousarray(ds.x.T)
+        n_clusters = int(rng.integers(1, min(6, len(points)) + 1))
+        got = kmeans_rows(points, n_clusters, rngmod.generator(trial, "km"))
+        want = ref_kmeans_rows(points, n_clusters, rngmod.generator(trial, "km"))
+        np.testing.assert_array_equal(got, want)
+
+
+def test_assign_distances_match_reference():
+    rng = np.random.default_rng(104)
+    for trial in range(20):
+        ds = random_dataset(rng, k=int(rng.integers(2, 4)), p=int(rng.integers(6, 15)))
+        n_groups = ds.k + int(rng.integers(2))
+        part = init_partition(ds, n_groups, rngmod.generator(trial, "assign"))
+        centers = update_centers(ds, part)
+        for lam in (0.7, 1.3, math.inf):
+            got = _dn_distances(FitData.of(ds), centers, lam)
+            want = ref_dn_distances(ds, centers, lam)
+            np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+            finite = np.isfinite(want)
+            got, want = got[finite], want[finite]
+            # The Gram form holds a squared dn-distance only to about
+            # n * eps * (mean square of the column + of the center), at
+            # most 2 max x^2 (times lam^2 in the special column), so a
+            # feature alone in its group sits near 1e-8 instead of at 0.
+            # Distances clear of that floor agree to 1e-12 relative.
+            lam_sq = 1.0 if math.isinf(lam) else max(lam, 1.0) ** 2
+            floor = 4 * ds.n * np.finfo(float).eps * 2 * (ds.x ** 2).max() * lam_sq
+            np.testing.assert_allclose(got ** 2, want ** 2, rtol=1e-12, atol=floor)
+            clear = want > 0.1
+            assert clear.mean() > 0.5
+            np.testing.assert_allclose(got[clear], want[clear], rtol=1e-12, atol=0)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9))
+def test_predictions_follow_permuted_test_rows(seed, m):
+    rng = np.random.default_rng(seed)
+    train = random_dataset(rng, k=3, n_per_class=6)
+    x = rng.normal(size=(25, train.p)) + train.x.mean(axis=0)
+    order = rng.permutation(len(x))
+    knn = knn_fit(train, m=m)
+    np.testing.assert_array_equal(knn_predict_many(knn, x[order]),
+                                  knn_predict_many(knn, x)[order])
+    part = FeaturePartition(tuple(np.arange(train.p)[np.arange(train.p) % 3 == j]
+                                  for j in range(3)))
+    model = compute_centroids(train, part)
+    np.testing.assert_array_equal(predict_many(model, x[order]),
+                                  predict_many(model, x)[order])
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_infinite_lambda_is_no_selection(seed):
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, k=2, p=int(rng.integers(4, 10)))
+    part = init_partition(ds, ds.k + 1, rngmod.generator(seed, "lam-inf"))
+    with_special = update_centers(ds, part)
+    without = ClusterCenters(with_special.centers[1:], has_special=False)
+    selected = assign_rows(ds, with_special, math.inf)
+    plain = assign_rows(ds, without, math.inf)
+    assert len(selected.special) == 0
+    for a, b in zip(selected.class_groups, plain.groups):
+        np.testing.assert_array_equal(a, b)
