@@ -148,10 +148,18 @@ def knn_fit(ds: LabeledDataset, m: int = 15) -> KnnModel:
 def knn_predict_many(model: KnnModel, x: np.ndarray) -> np.ndarray:
     x = feature_rows(x, model.p)
     d2 = sq_distances(x, row_sq_norms(x), model.x, row_sq_norms(model.x))
-    # stable sort: equal distances resolve to the smaller training row
-    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :model.m]
-    votes = model.labels[neighbors]
-    counts = (votes[:, :, None] == np.arange(1, model.k + 1)).sum(axis=1)
+    # The m nearest training rows: every row closer than the m-th
+    # smallest distance t, then rows at exactly t in training-row order,
+    # so equal distances resolve to the smaller training row.
+    t = np.partition(d2, model.m - 1, axis=1)[:, [model.m - 1]]
+    nearer = d2 < t
+    at_t = d2 == t
+    # Freeing the distances and counting ties in int32 keeps the peak
+    # memory at np.partition's copy of the distance matrix.
+    del d2
+    room = model.m - np.count_nonzero(nearer, axis=1)
+    chosen = nearer | (at_t & (np.cumsum(at_t, axis=1, dtype=np.int32) <= room[:, None]))
+    counts = chosen @ (model.labels[:, None] == np.arange(1, model.k + 1)).astype(np.float64)
     return counts.argmax(axis=1) + 1
 
 

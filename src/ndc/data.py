@@ -107,7 +107,9 @@ class FeaturePartition:
 
     ``groups[0]`` is the special unused-feature group when ``has_special``
     is set; it may be empty.  All other groups correspond to classes
-    ``1..k`` in order and must stay non-empty.
+    ``1..k`` in order and must stay non-empty.  Each group lists its
+    indices in strictly increasing order, the order of the centroid
+    entries a model pairs with it; any other order raises ValueError.
     """
 
     groups: tuple[np.ndarray, ...]
@@ -115,8 +117,10 @@ class FeaturePartition:
 
     def __post_init__(self):
         frozen = []
-        for g in self.groups:
-            arr = np.unique(np.asarray(g, dtype=np.int64))
+        for pos, g in enumerate(self.groups):
+            arr = np.array(g, dtype=np.int64).reshape(-1)
+            if np.any(arr[1:] <= arr[:-1]):
+                raise ValueError(f"feature group {pos} must list its indices in increasing order")
             arr.setflags(write=False)
             frozen.append(arr)
         object.__setattr__(self, "groups", tuple(frozen))

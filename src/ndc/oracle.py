@@ -17,10 +17,12 @@ import numpy as np
 
 from . import rng as rngmod
 from .classifier import NdcModel, compute_centroids, empirical_risk
-from .data import FeaturePartition, LabeledDataset
+from .data import FeaturePartition, LabeledDataset, class_index_sets
 from .kmeans import FitConfig, fit_best
 
 ENUMERATION_GUARD = 10_000_000
+# candidate assignments scored per block; bounds the enumeration's memory
+ASSIGNMENT_CHUNK = 1 << 9
 
 
 @dataclass(frozen=True)
@@ -77,35 +79,77 @@ def block_spec(k: int, d: int, sigma1: float, sigma2: float,
     return BlockDistributionSpec(class_probs, means, sds)
 
 
-def iter_assignments(p: int, k: int):
-    """All assignments of p features to k groups with every group
-    non-empty, in lexicographic order of the assignment tuple."""
+def _check_enumeration_size(p: int, k: int) -> None:
     if k ** p > ENUMERATION_GUARD:
         raise ValueError(
             f"{k}^{p} assignments exceed the enumeration guard ({ENUMERATION_GUARD}); "
             "use fewer features")
+
+
+def iter_assignments(p: int, k: int):
+    """All assignments of p features to k groups with every group
+    non-empty, in lexicographic order of the assignment tuple."""
+    _check_enumeration_size(p, k)
     for assignment in itertools.product(range(k), repeat=p):
         if len(set(assignment)) == k:
             yield assignment
 
 
-def _assignment_partition(assignment, k: int) -> FeaturePartition:
-    a = np.asarray(assignment)
-    return FeaturePartition(tuple(np.flatnonzero(a == j) for j in range(k)))
+def _scored_assignments(weights: np.ndarray):
+    """Every assignment of the p features to k non-empty groups, in the
+    order of `iter_assignments`, with its score
+
+        score(a) = sum_j (1/|I_j|) sum_{i in I_j} weights[j, i],
+
+    where I_j holds the features a sends to group j.  Yields blocks of
+    at most ``ASSIGNMENT_CHUNK`` candidates as (assignments, scores):
+    a (m, p) array of group indices and the m scores.
+    """
+    k, p = weights.shape
+    _check_enumeration_size(p, k)
+    place = k ** np.arange(p - 1, -1, -1)
+    total = k ** p
+    for start in range(0, total, ASSIGNMENT_CHUNK):
+        codes = np.arange(start, min(start + ASSIGNMENT_CHUNK, total))
+        digits = codes[:, None] // place % k
+        masks = [digits == j for j in range(k)]
+        sizes = np.stack([m.sum(axis=1) for m in masks])
+        full = (sizes > 0).all(axis=0)
+        if not full.any():
+            continue
+        scores = sum(masks[j][full] @ weights[j] / sizes[j, full] for j in range(k))
+        yield digits[full], scores
+
+
+def _first_minimum(blocks, k: int) -> FeaturePartition | None:
+    """The partition of the first least-scored assignment across the
+    (assignments, scores) blocks, so ties keep the lexicographically
+    smallest; None when the blocks hold no candidate."""
+    best, best_score = None, np.inf
+    for assignments, scores in blocks:
+        if len(scores) == 0:
+            continue
+        i = int(np.argmin(scores))
+        if scores[i] < best_score:
+            best, best_score = assignments[i], scores[i]
+    if best is None:
+        return None
+    return FeaturePartition(tuple(np.flatnonzero(best == j) for j in range(k)))
 
 
 def brute_force_minimizer(ds: LabeledDataset) -> tuple[FeaturePartition, float]:
     """Exhaustive empirical-risk minimization over all feature-to-class
-    assignments.  Ties keep the lexicographically smallest assignment."""
-    best_part = None
-    best_risk = np.inf
-    for assignment in iter_assignments(ds.p, ds.k):
-        part = _assignment_partition(assignment, ds.k)
-        risk = empirical_risk(ds, compute_centroids(ds, part))
-        if risk < best_risk:
-            best_risk = risk
-            best_part = part
-    return best_part, float(best_risk)
+    assignments.  Ties keep the lexicographically smallest assignment.
+
+    With each centroid at its class mean, an assignment's risk is its
+    `_scored_assignments` score over the within-class sums of squares
+    divided by n; the returned risk is recomputed from the winner's
+    centroids.
+    """
+    wss = np.stack([np.square(ds.x[s] - ds.x[s].mean(axis=0)).sum(axis=0)
+                    for s in class_index_sets(ds)])
+    part = _first_minimum(_scored_assignments(wss / ds.n), ds.k)
+    return part, empirical_risk(ds, compute_centroids(ds, part))
 
 
 def population_risk(model: NdcModel, spec: BlockDistributionSpec) -> float:
@@ -121,27 +165,25 @@ def population_risk(model: NdcModel, spec: BlockDistributionSpec) -> float:
     return float(total)
 
 
-def _assignment_population_risk(spec: BlockDistributionSpec, assignment) -> float:
+def _partition_population_risk(spec: BlockDistributionSpec, part: FeaturePartition) -> float:
     # optimal centroids are the true class means, so only variances remain
-    a = np.asarray(assignment)
     total = 0.0
-    for j in range(spec.k):
-        g = np.flatnonzero(a == j)
+    for j, g in enumerate(part.class_groups):
         total += spec.class_probs[j] * np.mean(spec.sds[j, g] ** 2)
     return float(total)
+
+
+def _variance_weights(spec: BlockDistributionSpec) -> np.ndarray:
+    """k x p scores whose `_scored_assignments` score is the population
+    risk at the true-mean centroids: pi_j sigma_ji^2."""
+    return spec.class_probs[:, None] * spec.sds ** 2
 
 
 def optimal_population_risk(spec: BlockDistributionSpec) -> tuple[FeaturePartition, float]:
     """Population-risk minimizer over all assignments, each evaluated at
     its own optimal (true-mean) centroids."""
-    best = None
-    best_risk = np.inf
-    for assignment in iter_assignments(spec.p, spec.k):
-        risk = _assignment_population_risk(spec, assignment)
-        if risk < best_risk:
-            best_risk = risk
-            best = assignment
-    return _assignment_partition(best, spec.k), float(best_risk)
+    part = _first_minimum(_scored_assignments(_variance_weights(spec)), spec.k)
+    return part, _partition_population_risk(spec, part)
 
 
 @dataclass(frozen=True)
@@ -178,21 +220,24 @@ def check_diagonal_optimality(spec: BlockDistributionSpec, d: int) -> DiagonalOp
             sigma1, sigma2 = s1, s2
         elif (s1, s2) != (sigma1, sigma2):
             raise ValueError("block standard deviations differ across classes")
-    diagonal = tuple(j for j in range(k) for _ in range(d))
-    diagonal_risk = _assignment_population_risk(spec, diagonal)
-    best_risk = np.inf
+    diagonal = np.repeat(np.arange(k), d)
+    diagonal_risk = _partition_population_risk(
+        spec, FeaturePartition(tuple(np.arange(j * d, (j + 1) * d) for j in range(k))))
+    tol = 1e-12 * max(1.0, abs(diagonal_risk))
     n_better = 0
     n_tied = 0
-    tol = 1e-12 * max(1.0, abs(diagonal_risk))
-    for assignment in iter_assignments(p, k):
-        if assignment == diagonal:
-            continue
-        risk = _assignment_population_risk(spec, assignment)
-        best_risk = min(best_risk, risk)
-        if risk < diagonal_risk - tol:
-            n_better += 1
-        elif abs(risk - diagonal_risk) <= tol:
-            n_tied += 1
+
+    def off_diagonal():
+        nonlocal n_better, n_tied
+        for assignments, risks in _scored_assignments(_variance_weights(spec)):
+            others = (assignments != diagonal).any(axis=1)
+            assignments, risks = assignments[others], risks[others]
+            n_better += int(np.count_nonzero(risks < diagonal_risk - tol))
+            n_tied += int(np.count_nonzero(np.abs(risks - diagonal_risk) <= tol))
+            yield assignments, risks
+
+    runner_up = _first_minimum(off_diagonal(), k)
+    best_risk = np.inf if runner_up is None else _partition_population_risk(spec, runner_up)
     if sigma1 >= sigma2:
         reason = ("inverted block variances: own-block sd is not the smaller one"
                   if n_better else "degenerate: equal block variances, all partitions tie")

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ndc.data import FeaturePartition, LabeledDataset
+
+# Every property test draws the same examples on every run, and a slow
+# host does not fail one on timing.
+settings.register_profile("ndc", derandomize=True, deadline=None, max_examples=30)
+settings.load_profile("ndc")
 
 
 @pytest.fixture

@@ -122,6 +122,19 @@ def test_validate_partition_cases():
     assert "class groups" in validate_partition(wrong_k, p=3, k=2)
 
 
+def test_partition_rejects_unsorted_or_repeated_indices():
+    # a model pairs centroid entries with group indices in order, so an
+    # unsorted group would misalign them instead of being re-sorted
+    with pytest.raises(ValueError, match="group 0 must list its indices in increasing order"):
+        FeaturePartition((np.array([1, 0]), np.array([2])))
+    with pytest.raises(ValueError, match="group 2 .* increasing order"):
+        FeaturePartition(([], [0], [1, 1]), has_special=True)
+    given = np.array([0, 2])
+    part = FeaturePartition((given, np.array([1])))
+    given[0] = 1  # the partition keeps its own copy
+    assert part.groups[0].tolist() == [0, 2]
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     ds = LabeledDataset.from_arrays(rng.normal(size=(7, 3)), [1, 2, 1, 2, 1, 2, 2])

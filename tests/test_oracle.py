@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_dataset
+from ndc import oracle
 from ndc import rng as rngmod
 from ndc.classifier import NdcModel, compute_centroids, empirical_risk
 from ndc.data import FeaturePartition, LabeledDataset
@@ -19,6 +22,46 @@ from ndc.oracle import (
     population_risk,
     sample_dataset,
 )
+
+
+def ref_empirical_risks(ds):
+    """Every assignment with its empirical risk, in lexicographic order,
+    by the per-assignment loop the vectorized enumeration replaced: one
+    partition and one centroid fit per assignment."""
+    out = []
+    for assignment in iter_assignments(ds.p, ds.k):
+        a = np.asarray(assignment)
+        part = FeaturePartition(tuple(np.flatnonzero(a == j) for j in range(ds.k)))
+        out.append((part, empirical_risk(ds, compute_centroids(ds, part))))
+    return out
+
+
+def ref_brute_force_minimizer(ds):
+    best_part, best_risk = None, np.inf
+    for part, risk in ref_empirical_risks(ds):
+        if risk < best_risk:
+            best_part, best_risk = part, risk
+    return best_part, float(best_risk)
+
+
+def groups(part):
+    return [g.tolist() for g in part.groups]
+
+
+def tie_dataset(rng, p):
+    """Two classes of four integer rows in +/- pairs around an integer
+    centre, so class means and sums of squares are integers and every
+    risk is exact.  Column 1 repeats column 0, which is constant within
+    each class, so swapping the two columns' classes ties."""
+    rows = []
+    for _ in range(2):
+        centre = rng.integers(-3, 4, size=p)
+        spread = rng.integers(-2, 3, size=(2, p))
+        spread[:, 0] = 0
+        rows += [centre + spread[0], centre - spread[0], centre + spread[1], centre - spread[1]]
+    x = np.array(rows, dtype=np.float64)
+    x[:, 1] = x[:, 0]
+    return LabeledDataset.from_arrays(x, np.repeat([1, 2], 4))
 
 
 def test_brute_force_toy(toy_ds):
@@ -42,6 +85,36 @@ def test_brute_force_never_beaten_by_heuristic():
         _, w_star = brute_force_minimizer(ds)
         _, model, _ = fit_best(ds, FitConfig(restarts=20, seed=trial))
         assert empirical_risk(ds, model) >= w_star
+
+
+@pytest.mark.parametrize("chunk", [oracle.ASSIGNMENT_CHUNK, 7])
+def test_brute_force_matches_per_assignment_loop(monkeypatch, chunk):
+    monkeypatch.setattr(oracle, "ASSIGNMENT_CHUNK", chunk)
+    rng = np.random.default_rng(43)
+    for trial in range(16):
+        k = 2 + trial % 2
+        ds = random_dataset(rng, k=k, p=int(rng.integers(k, 9 if k == 2 else 7)))
+        part, w_star = brute_force_minimizer(ds)
+        want_part, want_w = ref_brute_force_minimizer(ds)
+        assert groups(part) == groups(want_part)
+        assert w_star == want_w
+
+
+@pytest.mark.parametrize("chunk", [oracle.ASSIGNMENT_CHUNK, 7])
+def test_brute_force_tie_keeps_lexicographically_smallest(monkeypatch, chunk):
+    monkeypatch.setattr(oracle, "ASSIGNMENT_CHUNK", chunk)
+    rng = np.random.default_rng(44)
+    with_ties = 0
+    for _ in range(20):
+        ds = tie_dataset(rng, p=5)
+        risks = ref_empirical_risks(ds)
+        least = min(r for _, r in risks)
+        tied = [part for part, r in risks if r == least]
+        with_ties += len(tied) > 1
+        part, w_star = brute_force_minimizer(ds)
+        assert groups(part) == groups(tied[0])
+        assert w_star == least
+    assert with_ties >= 10
 
 
 def test_enumeration_guard():
@@ -122,6 +195,34 @@ def test_check_diagonal_optimality_matches_independent_enumeration():
     assert [g.tolist() for g in part.groups] == [[0, 1], [2, 3]]
 
 
+@pytest.mark.parametrize("chunk", [oracle.ASSIGNMENT_CHUNK, 7])
+@pytest.mark.parametrize("sigma1, sigma2, k, d", [
+    (1.0, 2.0, 2, 2), (1.5, 1.5, 2, 2), (2.0, 1.0, 2, 2),
+    (0.6, 0.9, 3, 2), (1.5, 1.5, 3, 2), (1.3, 0.4, 2, 3)])
+def test_population_oracles_match_independent_enumeration(monkeypatch, chunk,
+                                                          sigma1, sigma2, k, d):
+    monkeypatch.setattr(oracle, "ASSIGNMENT_CHUNK", chunk)
+    risks = _independent_block_enumeration(sigma1, sigma2, k=k, d=d)
+    least = min(risks.values())
+    tol = 1e-12 * max(1.0, least)
+    first = next(a for a, r in risks.items() if r <= least + tol)
+    spec = block_spec(k, d, sigma1, sigma2)
+    part, w_star = optimal_population_risk(spec)
+    assert w_star == pytest.approx(least, rel=1e-12)
+    assert groups(part) == [[i for i, j in enumerate(first) if j == c] for c in range(k)]
+
+    diagonal = tuple(j for j in range(k) for _ in range(d))
+    diag_risk = risks[diagonal]
+    tol = 1e-12 * max(1.0, diag_risk)
+    others = [r for a, r in risks.items() if a != diagonal]
+    report = check_diagonal_optimality(spec, d=d)
+    assert report.diagonal_risk == pytest.approx(diag_risk, rel=1e-12)
+    assert report.best_risk == pytest.approx(least, rel=1e-12)
+    assert report.n_strictly_better == sum(r < diag_risk - tol for r in others)
+    assert report.n_tied == sum(abs(r - diag_risk) <= tol for r in others)
+    assert report.passed == (report.n_strictly_better == 0 and report.n_tied == 0)
+
+
 def test_check_diagonal_optimality_equal_variances_tie():
     spec = block_spec(k=2, d=2, sigma1=1.5, sigma2=1.5)
     report = check_diagonal_optimality(spec, d=2)
@@ -194,3 +295,28 @@ def test_consistency_experiment_small_deterministic():
     assert lines[0].split("\t") == ["n", "rep", "fitted_population_risk", "W_star", "gap"]
     assert len(lines) == 2
     assert "np.float64" not in lines[1]  # plain decimal text, not scalar reprs
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3]))
+def test_exact_partition_permutes_with_features(seed, k):
+    # continuous data: no two assignments tie
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, k=k, p=int(rng.integers(k, 9 if k == 2 else 7)))
+    order = rng.permutation(ds.p)
+    permuted = LabeledDataset.from_arrays(ds.x[:, order], ds.labels)
+    part, w_star = brute_force_minimizer(ds)
+    part_p, w_star_p = brute_force_minimizer(permuted)
+    assert [sorted(order[g].tolist()) for g in part_p.groups] == groups(part)
+    assert w_star_p == pytest.approx(w_star, rel=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3]),
+       scale=st.floats(1e-3, 1e3))
+def test_exact_partition_ignores_common_scaling(seed, k, scale):
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, k=k, p=int(rng.integers(k, 9 if k == 2 else 7)))
+    scaled = LabeledDataset.from_arrays(scale * ds.x, ds.labels)
+    part, w_star = brute_force_minimizer(ds)
+    part_s, w_star_s = brute_force_minimizer(scaled)
+    assert groups(part_s) == groups(part)
+    assert w_star_s == pytest.approx(scale ** 2 * w_star, rel=1e-12)
