@@ -13,14 +13,11 @@ from .baselines import (
     NcModel,
     NscModel,
     knn_fit,
-    knn_predict,
     knn_predict_many,
     nc_fit,
-    nc_predict,
     nc_predict_many,
     nsc_delta_grid,
     nsc_fit,
-    nsc_predict,
     nsc_predict_many,
 )
 from .classifier import (
@@ -28,22 +25,18 @@ from .classifier import (
     compute_centroids,
     empirical_risk,
     load_model,
-    predict,
     predict_many,
-    predict_scores,
     predict_scores_many,
     save_model,
     training_error,
 )
 from .data import (
     CsvFormatError,
-    DataMatrix,
     FeaturePartition,
     LabeledDataset,
     class_index_sets,
     dn_norm_sq,
     read_labeled_csv,
-    restrict,
     validate_partition,
     write_labeled_csv,
 )

@@ -36,10 +36,6 @@ def nc_predict_many(model: NcModel, x: np.ndarray) -> np.ndarray:
     return d2.argmin(axis=1) + 1
 
 
-def nc_predict(model: NcModel, x) -> int:
-    return int(nc_predict_many(model, x)[0])
-
-
 # ---------------------------------------------------------------------------
 # Nearest shrunken centroid
 # ---------------------------------------------------------------------------
@@ -115,10 +111,6 @@ def nsc_predict_many(model: NscModel, x: np.ndarray) -> np.ndarray:
     return nsc_scores_many(model, x).argmin(axis=1) + 1
 
 
-def nsc_predict(model: NscModel, x) -> int:
-    return int(nsc_predict_many(model, x)[0])
-
-
 def nsc_delta_grid(ds: LabeledDataset, size: int = 30) -> np.ndarray:
     """Evenly spaced shrinkage thresholds from 0 (no shrinkage) to the
     largest standardized difference (everything shrunk away)."""
@@ -161,7 +153,3 @@ def knn_predict_many(model: KnnModel, x: np.ndarray) -> np.ndarray:
     chosen = nearer | (at_t & (np.cumsum(at_t, axis=1, dtype=np.int32) <= room[:, None]))
     counts = chosen @ (model.labels[:, None] == np.arange(1, model.k + 1)).astype(np.float64)
     return counts.argmax(axis=1) + 1
-
-
-def knn_predict(model: KnnModel, x) -> int:
-    return int(knn_predict_many(model, x)[0])

@@ -83,17 +83,9 @@ def predict_scores_many(model: NdcModel, x: np.ndarray) -> np.ndarray:
     return scores
 
 
-def predict_scores(model: NdcModel, x) -> np.ndarray:
-    return predict_scores_many(model, x)[0]
-
-
 def predict_many(model: NdcModel, x: np.ndarray) -> np.ndarray:
     """Class labels for the rows of ``x``; ties go to the smallest class."""
     return predict_scores_many(model, x).argmin(axis=1) + 1
-
-
-def predict(model: NdcModel, x) -> int:
-    return int(predict_many(model, x)[0])
 
 
 def empirical_risk(ds: LabeledDataset, model: NdcModel) -> float:

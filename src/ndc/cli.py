@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=100)
     p.add_argument("--tune-restarts", type=int, default=25)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker process cap (default: all cores)")
+                   help="worker process cap for --sim runs (default: all cores); "
+                   "--data runs are serial")
     p.add_argument("--out", help="write the machine-readable report CSV here")
     common(p)
     p.set_defaults(func=cmd_benchmark)

@@ -23,62 +23,45 @@ class CsvFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class DataMatrix:
-    """Dense n_rows x n_cols matrix of finite floats."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        # copy before freezing so the caller's array is left untouched
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError("data matrix must be 2-dimensional")
-        if values.shape[0] < 1 or values.shape[1] < 1:
-            raise ValueError("data matrix must have at least one row and one column")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("data matrix contains NaN or infinite entries")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class LabeledDataset:
-    """A data matrix plus integer class labels in ``1..k``.
+    """A dense matrix of finite floats, samples as rows, plus integer
+    class labels in ``1..k``.
 
-    Every class in ``1..k`` must be represented, and ``k`` may not exceed
-    either dimension of the matrix.
+    The matrix needs at least one row and one column; it is copied and
+    frozen, so the caller's array is left untouched.  Every class in
+    ``1..k`` must be represented, and ``k`` may not exceed either
+    dimension of the matrix.
     """
 
-    matrix: DataMatrix
+    x: np.ndarray
     labels: np.ndarray
     k: int
 
     def __post_init__(self):
+        x = np.array(self.x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ValueError("data matrix must be 2-dimensional")
+        if x.shape[0] < 1 or x.shape[1] < 1:
+            raise ValueError("data matrix must have at least one row and one column")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("data matrix contains NaN or infinite entries")
         labels = np.array(self.labels, dtype=np.int64)
-        if labels.ndim != 1 or labels.shape[0] != self.matrix.n_rows:
+        if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
             raise ValueError("labels must be one per data-matrix row")
         if self.k < 1:
             raise ValueError("class count must be at least 1")
-        if self.k > min(self.matrix.n_rows, self.matrix.n_cols):
+        if self.k > min(x.shape):
             raise ValueError(
-                f"class count k={self.k} exceeds min(n_rows, n_cols)="
-                f"{min(self.matrix.n_rows, self.matrix.n_cols)}"
-            )
+                f"class count k={self.k} exceeds min(n_rows, n_cols)={min(x.shape)}")
         present = np.unique(labels)
         if present[0] < 1 or present[-1] > self.k:
             raise ValueError("labels must lie in 1..k")
         if len(present) != self.k:
             missing = sorted(set(range(1, self.k + 1)) - set(present.tolist()))
             raise ValueError(f"classes with no samples: {missing}")
+        x.setflags(write=False)
         labels.setflags(write=False)
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "labels", labels)
 
     @classmethod
@@ -86,19 +69,15 @@ class LabeledDataset:
         labels = np.asarray(labels, dtype=np.int64)
         if k is None:
             k = int(labels.max()) if labels.size else 0
-        return cls(DataMatrix(np.asarray(x, dtype=np.float64)), labels, k)
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.matrix.values
+        return cls(x, labels, k)
 
     @property
     def n(self) -> int:
-        return self.matrix.n_rows
+        return self.x.shape[0]
 
     @property
     def p(self) -> int:
-        return self.matrix.n_cols
+        return self.x.shape[1]
 
 
 @dataclass(frozen=True)
@@ -171,20 +150,6 @@ def sq_distances(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarra
     d2 += a_sq[:, None]
     d2 += b_sq[None, :]
     return np.maximum(d2, 0.0, out=d2)
-
-
-def restrict(x, indices) -> np.ndarray:
-    """Entries of ``x`` at the given 0-based indices, ascending.
-
-    The index set must be non-empty and within range.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    idx = np.unique(np.asarray(indices, dtype=np.int64))
-    if idx.size == 0:
-        raise ValueError("restriction to an empty index set is undefined")
-    if idx[0] < 0 or idx[-1] >= x.shape[-1]:
-        raise IndexError(f"feature index out of range 0..{x.shape[-1] - 1}")
-    return x[..., idx]
 
 
 def feature_rows(x, p: int) -> np.ndarray:

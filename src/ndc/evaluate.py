@@ -2,10 +2,16 @@
 splits, nested-CV hyperparameter tuning, and the simulation/CV benchmark
 runners with text-table and CSV reporting.
 
-Hyperparameters are tuned per training set by nested cross-validation:
-the special-group multiplier for the feature-selecting fit and the
-shrinkage threshold for the shrunken-centroid baseline.  Tuning fits use
-a reduced restart budget; final fits use the full one.
+Each runnable classifier is one registry entry,
+``fit(train, seed, options) -> (predict, features, params)``, which
+tunes on the training set if it has a hyperparameter, fits, and returns
+a row labeller, the number of features used and the chosen parameters.
+ndc is the ndc-s fit with feature selection off and no tuning.  Both
+runners score each unit (a simulation repetition or a CV fold) with one
+unit scorer and build the report with one aggregator.  One nested-CV
+scorer tunes the special-group multiplier for ndc-s and the shrinkage
+threshold for nsc; tuning fits use a reduced restart budget, final fits
+the full one.
 
 The heavier comparators from the literature (LDA, SVM, L1 logistic
 regression) are not part of this build; reports list them as
@@ -45,7 +51,6 @@ from .simulate import generate, preset
 
 DEFAULT_LAMBDA_GRID = (0.6, 0.8, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, math.inf)
 
-RUNNABLE_CLASSIFIERS = ("ndc", "ndc-s", "nc", "nsc", "knn")
 UNAVAILABLE_CLASSIFIERS = ("lda", "svm", "logistic")
 _ALIASES = {"ndcs": "ndc-s", "ndc_s": "ndc-s"}
 
@@ -53,16 +58,6 @@ _ALIASES = {"ndcs": "ndc-s", "ndc_s": "ndc-s"}
 # candidate that raises one of these is counted as failed.  Anything else
 # is a programming error and propagates.
 _FIT_FAILURES = (EmptyGroupError, RestartsExhaustedError, FitFailedError, ValueError)
-
-
-def canonical_classifier(name: str) -> str:
-    name = name.strip().lower()
-    name = _ALIASES.get(name, name)
-    if name in RUNNABLE_CLASSIFIERS:
-        return name
-    if name in UNAVAILABLE_CLASSIFIERS:
-        raise ValueError(f"classifier '{name}' is not available in this build")
-    raise ValueError(f"unknown classifier '{name}'")
 
 
 def misclassification_rate(predicted, actual) -> float:
@@ -127,6 +122,47 @@ class HarnessOptions:
     knn_neighbors: int = 15
     delta_grid_size: int = 30
 
+    def __post_init__(self):
+        if self.tune_restarts < 1 or self.final_restarts < 1:
+            raise ValueError("restart counts must be >= 1")
+        if not self.lambda_grid or not all(lam > 0 for lam in self.lambda_grid):
+            raise ValueError("lambda_grid must hold at least one positive multiplier")
+        if self.knn_neighbors < 1:
+            raise ValueError("knn_neighbors must be >= 1")
+        if self.delta_grid_size < 1:
+            raise ValueError("delta_grid_size must be >= 1")
+
+
+def _tune(train: LabeledDataset, grid, cv: CvConfig, stream: str, what: str,
+          fit) -> tuple[float, dict[float, float]]:
+    """Pick the grid value with the lowest nested-CV misclassification.
+
+    The nested folds are drawn from ``cv.seed``'s child ``stream``.
+    ``fit(data, i, f, seed)`` fits candidate ``grid[i]`` on the training
+    part of nested fold ``f`` (``seed`` being the nested folds' seed) and
+    returns a function that labels rows.  A candidate whose fits fail on
+    every nested fold is skipped; ties go to the largest value.
+    """
+    nested = CvConfig(folds=cv.nested_folds, nested_folds=cv.nested_folds,
+                      stratified=cv.stratified, seed=rngmod.child_seed(cv.seed, stream))
+    splits = k_fold_split(train, nested)
+    mean_errors: dict[float, float] = {}
+    for i, value in enumerate(grid):
+        fold_errors = []
+        for f, (tr, va) in enumerate(splits):
+            try:
+                predict = fit(_subset(train, tr), i, f, nested.seed)
+            except _FIT_FAILURES:
+                continue
+            fold_errors.append(misclassification_rate(predict(train.x[va]), train.labels[va]))
+        if fold_errors:
+            mean_errors[value] = float(np.mean(fold_errors))
+    if not mean_errors:
+        raise FitFailedError(f"every {what} candidate failed all nested fits")
+    best_err = min(mean_errors.values())
+    best = max(v for v, err in mean_errors.items() if err == best_err)
+    return best, mean_errors
+
 
 def tune_lambda(train: LabeledDataset, grid, cv: CvConfig,
                 restarts: int = 25) -> tuple[float, dict[float, float]]:
@@ -140,96 +176,96 @@ def tune_lambda(train: LabeledDataset, grid, cv: CvConfig,
         raise ValueError("empty multiplier grid")
     if len(grid) == 1:
         return grid[0], {grid[0]: float("nan")}
-    nested = CvConfig(folds=cv.nested_folds, nested_folds=cv.nested_folds,
-                      stratified=cv.stratified,
-                      seed=rngmod.child_seed(cv.seed, "nested-lambda"))
-    splits = k_fold_split(train, nested)
-    mean_errors: dict[float, float] = {}
-    for i, lam in enumerate(grid):
-        fold_errors = []
-        for f, (tr, va) in enumerate(splits):
-            config = FitConfig(restarts=restarts, lam=lam,
-                               seed=rngmod.child_seed(nested.seed, "lam", i, "fold", f))
-            try:
-                _, model, _ = fit_best(_subset(train, tr), config)
-            except _FIT_FAILURES:
-                continue
-            fold_errors.append(misclassification_rate(
-                predict_many(model, train.x[va]), train.labels[va]))
-        if fold_errors:
-            mean_errors[lam] = float(np.mean(fold_errors))
-    if not mean_errors:
-        raise FitFailedError("every multiplier candidate failed all nested fits")
-    best_err = min(mean_errors.values())
-    best = max(lam for lam, err in mean_errors.items() if err == best_err)
-    return best, mean_errors
+
+    def fit(data, i, f, nested_seed):
+        config = FitConfig(restarts=restarts, lam=grid[i],
+                           seed=rngmod.child_seed(nested_seed, "lam", i, "fold", f))
+        _, model, _ = fit_best(data, config)
+        return lambda x: predict_many(model, x)
+
+    return _tune(train, grid, cv, "nested-lambda", "multiplier", fit)
 
 
 def tune_delta(train: LabeledDataset, cv: CvConfig,
                grid_size: int = 30) -> tuple[float, dict[float, float]]:
     """Pick the shrinkage threshold by nested CV misclassification; ties
     go to the largest threshold (fewest features)."""
-    grid = nsc_delta_grid(train, size=grid_size)
-    nested = CvConfig(folds=cv.nested_folds, nested_folds=cv.nested_folds,
-                      stratified=cv.stratified,
-                      seed=rngmod.child_seed(cv.seed, "nested-delta"))
-    splits = k_fold_split(train, nested)
-    mean_errors: dict[float, float] = {}
-    for delta in grid:
-        fold_errors = []
-        for tr, va in splits:
-            try:
-                model = nsc_fit(_subset(train, tr), float(delta))
-            except _FIT_FAILURES:
-                continue
-            fold_errors.append(misclassification_rate(
-                nsc_predict_many(model, train.x[va]), train.labels[va]))
-        if fold_errors:
-            mean_errors[float(delta)] = float(np.mean(fold_errors))
-    if not mean_errors:
-        raise FitFailedError("every shrinkage candidate failed all nested fits")
-    best_err = min(mean_errors.values())
-    best = max(d for d, err in mean_errors.items() if err == best_err)
-    return best, mean_errors
+    grid = [float(delta) for delta in nsc_delta_grid(train, size=grid_size)]
+
+    def fit(data, i, f, nested_seed):
+        model = nsc_fit(data, grid[i])
+        return lambda x: nsc_predict_many(model, x)
+
+    return _tune(train, grid, cv, "nested-delta", "shrinkage", fit)
 
 
-def _fit_and_score(name: str, train: LabeledDataset, test_x: np.ndarray,
-                   test_labels: np.ndarray, seed: int,
-                   options: HarnessOptions) -> tuple[float, float, dict]:
-    """Fit one classifier on ``train``, score on the test block.
+# The registry's entries look up the fit and predict functions by their
+# module names at call time, so that rebinding a name reaches every unit.
 
-    Returns (error, features_used, chosen_params).  Tuned classifiers run
-    their nested CV on the training data only.
-    """
-    tune_cv = CvConfig(seed=rngmod.child_seed(seed, "tune", name))
-    if name == "ndc":
-        config = FitConfig(restarts=options.final_restarts, lam=math.inf,
-                           seed=rngmod.child_seed(seed, "fit", "ndc"))
-        _, model, _ = fit_best(train, config)
-        err = misclassification_rate(predict_many(model, test_x), test_labels)
-        return err, float(train.p), {}
-    if name == "ndc-s":
-        lam, _ = tune_lambda(train, options.lambda_grid, tune_cv,
-                             restarts=options.tune_restarts)
-        config = FitConfig(restarts=options.final_restarts, lam=lam,
-                           seed=rngmod.child_seed(seed, "fit", "ndc"))
-        _, model, _ = fit_best(train, config)
-        err = misclassification_rate(predict_many(model, test_x), test_labels)
-        return err, float(model.selected_feature_count), {"lambda": lam}
-    if name == "nc":
-        model = nc_fit(train)
-        err = misclassification_rate(nc_predict_many(model, test_x), test_labels)
-        return err, float(train.p), {}
-    if name == "nsc":
-        delta, _ = tune_delta(train, tune_cv, grid_size=options.delta_grid_size)
-        model = nsc_fit(train, delta)
-        err = misclassification_rate(nsc_predict_many(model, test_x), test_labels)
-        return err, float(model.selected_feature_count), {"delta": delta}
-    if name == "knn":
-        model = knn_fit(train, m=min(options.knn_neighbors, train.n))
-        err = misclassification_rate(knn_predict_many(model, test_x), test_labels)
-        return err, float(train.p), {"m": model.m}
+def _fit_partition(train: LabeledDataset, seed: int, options: HarnessOptions, lam: float):
+    config = FitConfig(restarts=options.final_restarts, lam=lam,
+                       seed=rngmod.child_seed(seed, "fit", "ndc"))
+    _, model, _ = fit_best(train, config)
+    return (lambda x: predict_many(model, x)), model.selected_feature_count
+
+
+def _ndc(train, seed, options):
+    return *_fit_partition(train, seed, options, math.inf), {}
+
+
+def _ndc_s(train, seed, options):
+    lam, _ = tune_lambda(train, options.lambda_grid,
+                         CvConfig(seed=rngmod.child_seed(seed, "tune", "ndc-s")),
+                         restarts=options.tune_restarts)
+    return *_fit_partition(train, seed, options, lam), {"lambda": lam}
+
+
+def _nc(train, seed, options):
+    model = nc_fit(train)
+    return (lambda x: nc_predict_many(model, x)), train.p, {}
+
+
+def _nsc(train, seed, options):
+    delta, _ = tune_delta(train, CvConfig(seed=rngmod.child_seed(seed, "tune", "nsc")),
+                          grid_size=options.delta_grid_size)
+    model = nsc_fit(train, delta)
+    return (lambda x: nsc_predict_many(model, x)), model.selected_feature_count, {"delta": delta}
+
+
+def _knn(train, seed, options):
+    model = knn_fit(train, m=min(options.knn_neighbors, train.n))
+    return (lambda x: knn_predict_many(model, x)), train.p, {"m": model.m}
+
+
+_REGISTRY = {"ndc": _ndc, "ndc-s": _ndc_s, "nc": _nc, "nsc": _nsc, "knn": _knn}
+RUNNABLE_CLASSIFIERS = tuple(_REGISTRY)
+
+
+def canonical_classifier(name: str) -> str:
+    name = name.strip().lower()
+    name = _ALIASES.get(name, name)
+    if name in RUNNABLE_CLASSIFIERS:
+        return name
+    if name in UNAVAILABLE_CLASSIFIERS:
+        raise ValueError(f"classifier '{name}' is not available in this build")
     raise ValueError(f"unknown classifier '{name}'")
+
+
+def _score_unit(names, train: LabeledDataset, test_x: np.ndarray, test_labels: np.ndarray,
+                seed: int, options: HarnessOptions) -> list[tuple[float, float, dict] | None]:
+    """Fit every named classifier on ``train`` and score it on the test
+    block: (error, features_used, chosen_params) per name, or None where
+    the fit failed.  Tuned classifiers run their nested CV on the
+    training data only."""
+    out = []
+    for name in names:
+        try:
+            predict, features, params = _REGISTRY[name](train, seed, options)
+            out.append((misclassification_rate(predict(test_x), test_labels),
+                        float(features), params))
+        except _FIT_FAILURES:
+            out.append(None)
+    return out
 
 
 @dataclass
@@ -302,33 +338,36 @@ class EvalReport:
             csv.writer(fh, lineterminator="\n").writerows(self.csv_rows())
 
 
-def _notes(names, options: HarnessOptions) -> tuple[str, ...]:
+def _report(setting: str, unit: str, names, units, options: HarnessOptions) -> EvalReport:
+    """Aggregate the per-unit results of `_score_unit` into a report."""
+    stats = [ClassifierStats(name) for name in names]
+    for results in units:
+        for s, result in zip(stats, results):
+            if result is None:
+                s.failures += 1
+                continue
+            err, feats, params = result
+            s.errors.append(err)
+            s.features.append(feats)
+            s.params.append(params)
     notes = []
     if "ndc-s" in names or "ndc" in names:
         notes.append(f"partition fits: {options.final_restarts} restarts "
                      f"({options.tune_restarts} while tuning)")
     if "nsc" in names:
         notes.append("nsc scores include the empirical-prior correction term")
-    return tuple(notes)
+    return EvalReport(setting=setting, unit=unit, stats=stats, notes=tuple(notes))
 
 
-def _sim_rep(args) -> list[tuple[str, float | None, float, dict, str]]:
-    """One simulation repetition: draw train/test, fit and score every
-    requested classifier.  Runs in a worker process when parallel."""
+def _sim_rep(args) -> list[tuple[float, float, dict] | None]:
+    """One simulation repetition: draw train/test, then score it.  Runs
+    in a worker process when parallel."""
     sim_id, level, d_or_r, rep, names, seed, options = args
     config = preset(sim_id, level, d_or_r)
     train = generate(config, rngmod.generator(seed, "rep", rep, "train"))
     test = generate(config, rngmod.generator(seed, "rep", rep, "test"))
-    out = []
-    for name in names:
-        rep_seed = rngmod.child_seed(seed, "rep", rep)
-        try:
-            err, feats, params = _fit_and_score(name, train, test.x, test.labels,
-                                                rep_seed, options)
-            out.append((name, err, feats, params, ""))
-        except _FIT_FAILURES as exc:
-            out.append((name, None, 0.0, {}, f"{type(exc).__name__}: {exc}"))
-    return out
+    return _score_unit(names, train, test.x, test.labels,
+                       rngmod.child_seed(seed, "rep", rep), options)
 
 
 def run_simulation_benchmark(sim_id: int, level: float, d_or_r: int, reps: int,
@@ -354,41 +393,19 @@ def run_simulation_benchmark(sim_id: int, level: float, d_or_r: int, reps: int,
             per_rep = list(pool.map(_sim_rep, jobs))
     else:
         per_rep = [_sim_rep(job) for job in jobs]
-    stats = {name: ClassifierStats(name) for name in names}
-    for rep_result in per_rep:
-        for name, err, feats, params, failure in rep_result:
-            if failure:
-                stats[name].failures += 1
-                continue
-            stats[name].errors.append(err)
-            stats[name].features.append(feats)
-            stats[name].params.append(params)
     setting = f"sim{sim_id} level={level} " + (f"r={d_or_r}" if sim_id == 4 else f"d={d_or_r}")
-    return EvalReport(setting=setting, unit="rep", stats=[stats[n] for n in names],
-                      notes=_notes(names, options))
+    return _report(setting, "rep", names, per_rep, options)
 
 
 def run_cv_benchmark(ds: LabeledDataset, classifiers, cv: CvConfig,
                      options: HarnessOptions | None = None,
                      setting: str = "cv") -> EvalReport:
     """Cross-validated benchmark on a fixed dataset: tune on each training
-    fold (nested CV), fit, and score on the held-out fold."""
+    fold (nested CV), fit, and score on the held-out fold.  Folds run one
+    after another in this process."""
     names = [canonical_classifier(c) for c in classifiers]
     options = options or HarnessOptions()
-    splits = k_fold_split(ds, cv)
-    stats = {name: ClassifierStats(name) for name in names}
-    for f, (tr, te) in enumerate(splits):
-        train = _subset(ds, tr)
-        fold_seed = rngmod.child_seed(cv.seed, "fold", f)
-        for name in names:
-            try:
-                err, feats, params = _fit_and_score(
-                    name, train, ds.x[te], ds.labels[te], fold_seed, options)
-            except _FIT_FAILURES:
-                stats[name].failures += 1
-                continue
-            stats[name].errors.append(err)
-            stats[name].features.append(feats)
-            stats[name].params.append(params)
-    return EvalReport(setting=f"{setting} folds={cv.folds}", unit="fold",
-                      stats=[stats[n] for n in names], notes=_notes(names, options))
+    per_fold = [_score_unit(names, _subset(ds, tr), ds.x[te], ds.labels[te],
+                            rngmod.child_seed(cv.seed, "fold", f), options)
+                for f, (tr, te) in enumerate(k_fold_split(ds, cv))]
+    return _report(f"{setting} folds={cv.folds}", "fold", names, per_fold, options)

@@ -314,8 +314,12 @@ def fit_best(ds: LabeledDataset, config: FitConfig):
 
     Every restart gets its own derived stream; the winner is the model
     with the lowest training error, ties to the earliest restart.
-    Returns ``(partition, model, training_error)``.
+    Returns ``(partition, model, training_error)``.  Feature selection
+    needs k + 1 groups, so it raises ValueError up front when k + 1 > p.
     """
+    if config.with_selection and ds.k + 1 > ds.p:
+        raise ValueError(f"feature selection at lambda={config.lam!r} needs k + 1 = "
+                         f"{ds.k + 1} feature groups, but there are only p = {ds.p} features")
     best: tuple[float, int, FeaturePartition, NdcModel] | None = None
     failures = 0
     fit_data = FitData.of(ds)

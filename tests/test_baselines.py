@@ -6,14 +6,12 @@ import pytest
 from conftest import random_dataset
 from ndc.baselines import (
     knn_fit,
-    knn_predict,
     knn_predict_many,
     nc_fit,
-    nc_predict,
     nc_predict_many,
     nsc_delta_grid,
     nsc_fit,
-    nsc_predict,
+    nsc_predict_many,
     nsc_scores_many,
 )
 from ndc.classifier import NdcModel, predict_many
@@ -27,9 +25,9 @@ from ndc.data import FeaturePartition, LabeledDataset
 def test_nc_toy(toy_ds):
     model = nc_fit(toy_ds)
     assert model.centroids.tolist() == [[0.0, 6.0], [5.0, 6.0]]
-    assert nc_predict(model, [1.0, 6.0]) == 1     # squared distances 1 vs 16
-    assert nc_predict(model, [5.0, 6.0]) == 2     # exactly the class-2 centroid
-    assert nc_predict(model, [2.5, 6.0]) == 1     # equidistant -> class 1
+    assert nc_predict_many(model, [1.0, 6.0])[0] == 1     # squared distances 1 vs 16
+    assert nc_predict_many(model, [5.0, 6.0])[0] == 2     # exactly the class-2 centroid
+    assert nc_predict_many(model, [2.5, 6.0])[0] == 1     # equidistant -> class 1
 
 
 def test_nc_agrees_with_full_feature_dn_model():
@@ -113,10 +111,10 @@ def test_nsc_full_shrinkage_predicts_prior_argmax():
     assert model.selected_feature_count == 0
     np.testing.assert_allclose(model.shrunken[0], model.shrunken[1], rtol=1e-12)
     probes = rng.normal(size=(20, 4))
-    assert (nsc_predict(model, probes[0]) == 1)
+    assert (nsc_predict_many(model, probes[0])[0] == 1)
     assert (np.unique(model.shrunken, axis=0).shape[0] == 1)
     # equal centroids leave only the prior term; class 1 is the majority
-    assert all(int(v) == 1 for v in np.atleast_1d(nsc_predict(model, probes[1])))
+    assert nsc_predict_many(model, probes[1]).tolist() == [1]
 
 
 def test_nsc_selected_count_matches_scripted_oracle():
@@ -163,24 +161,24 @@ def test_nsc_needs_two_classes():
 
 def test_knn_examples(toy_ds):
     m1 = knn_fit(toy_ds, m=1)
-    assert knn_predict(m1, [0.0, 5.0]) == 1  # exact training row
-    assert knn_predict(m1, [6.0, 6.0]) == 2
+    assert knn_predict_many(m1, [0.0, 5.0])[0] == 1  # exact training row
+    assert knn_predict_many(m1, [6.0, 6.0])[0] == 2
 
     ds = LabeledDataset.from_arrays([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [10.0, 0.0]],
                                     [1, 1, 2, 2])
     m3 = knn_fit(ds, m=3)
-    assert knn_predict(m3, [1.0, 0.0]) == 1  # neighbors labeled 1,1,2
+    assert knn_predict_many(m3, [1.0, 0.0])[0] == 1  # neighbors labeled 1,1,2
 
     tie_ds = LabeledDataset.from_arrays([[0.0, 0.0], [2.0, 0.0]], [1, 2])
     m2 = knn_fit(tie_ds, m=2)
-    assert knn_predict(m2, [1.0, 0.0]) == 1  # one vote each -> class 1
+    assert knn_predict_many(m2, [1.0, 0.0])[0] == 1  # one vote each -> class 1
 
 
 def test_knn_distance_tie_prefers_earlier_row():
     ds = LabeledDataset.from_arrays([[1.0, 0.0], [-1.0, 0.0], [3.0, 0.0]], [2, 1, 2])
     model = knn_fit(ds, m=1)
     # the probe is equidistant from rows 0 and 1; row 0 wins
-    assert knn_predict(model, [0.0, 0.0]) == 2
+    assert knn_predict_many(model, [0.0, 0.0])[0] == 2
 
 
 def test_knn_m1_zero_training_error_on_distinct_rows():

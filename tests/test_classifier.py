@@ -9,9 +9,7 @@ from ndc.classifier import (
     compute_centroids,
     empirical_risk,
     load_model,
-    predict,
     predict_many,
-    predict_scores,
     predict_scores_many,
     save_model,
     training_error,
@@ -46,16 +44,16 @@ def test_centroids_with_special_group_bookkeeping():
 
 def test_predict_toy_examples(toy_ds, toy_partition):
     model = compute_centroids(toy_ds, toy_partition)
-    assert predict(model, [1.0, 3.0]) == 1          # squared distances 1 vs 9
-    assert predict(model, [5.0, 6.1]) == 2          # 25 vs 0.01
-    assert predict(model, [2.0, 4.0]) == 1          # exact tie 4 vs 4 -> class 1
-    assert predict_scores(model, [1.0, 3.0]).tolist() == [1.0, 9.0]
+    assert predict_many(model, [1.0, 3.0])[0] == 1  # squared distances 1 vs 9
+    assert predict_many(model, [5.0, 6.1])[0] == 2  # 25 vs 0.01
+    assert predict_many(model, [2.0, 4.0])[0] == 1  # exact tie 4 vs 4 -> class 1
+    assert predict_scores_many(model, [1.0, 3.0])[0].tolist() == [1.0, 9.0]
 
 
 def test_predict_scores_zero_at_centroids(toy_ds, toy_partition):
     model = compute_centroids(toy_ds, toy_partition)
     x = [0.0, 6.0]  # concatenated centroids in feature order
-    assert predict_scores(model, x).tolist() == [0.0, 0.0]
+    assert predict_scores_many(model, x)[0].tolist() == [0.0, 0.0]
 
 
 def test_predict_matches_score_argmin():
@@ -83,14 +81,14 @@ def test_scores_invariant_to_within_group_permutation(toy_ds):
     x = rng.normal(size=6)
     x2 = x.copy()
     x2[[0, 1, 2]] = x[[0, 1, 2]][perm]
-    np.testing.assert_allclose(predict_scores(model, x), predict_scores(model2, x2),
-                               rtol=1e-12)
+    np.testing.assert_allclose(predict_scores_many(model, x)[0],
+                               predict_scores_many(model2, x2)[0], rtol=1e-12)
 
 
 def test_dimension_mismatch_rejected(toy_ds, toy_partition):
     model = compute_centroids(toy_ds, toy_partition)
     with pytest.raises(ValueError, match="expected 2 features"):
-        predict(model, [1.0, 2.0, 3.0])
+        predict_many(model, [1.0, 2.0, 3.0])[0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -94,6 +94,25 @@ def test_fit_k_mismatch_and_parse_errors(tmp_path, toy_csv):
     assert main(["fit", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "m.json")]) == 2
 
 
+def test_fit_selection_with_too_few_features_exit_2(tmp_path, toy_csv, capsys):
+    # 2 features and 2 classes: selection would need k + 1 = 3 groups
+    assert main(["fit", str(toy_csv), "--lambda", "0.9", "--restarts", "3",
+                 "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert "lambda=0.9" in err and "k + 1 = 3" in err and "p = 2" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_fit_all_constant_data_exit_3(tmp_path, capsys):
+    # every feature column is the same point, so k-means never fills
+    # both groups and every restart exhausts its attempts
+    data = tmp_path / "const.csv"
+    write_labeled_csv(data, LabeledDataset.from_arrays(np.ones((6, 3)), [1, 1, 1, 2, 2, 2]))
+    assert main(["fit", str(data), "--restarts", "5", "--out", str(tmp_path / "m.json")]) == 3
+    assert "fit failed" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_fit_then_predict_round_trip(tmp_path, toy_csv, toy_ds, capsys):
     model = tmp_path / "model.json"
     main(["fit", str(toy_csv), "--restarts", "10", "--seed", "3", "--out", str(model)])
@@ -187,6 +206,12 @@ def test_benchmark_sim_mode_quick(tmp_path, capsys):
                  "--seed", "3"])
     assert code == 0
     assert "sim2" in capsys.readouterr().out
+
+
+def test_benchmark_zero_restarts_exit_2(toy_csv, capsys):
+    assert main(["benchmark", "--data", str(toy_csv), "--classifiers", "ndc,ndc-s",
+                 "--restarts", "0", "--tune-restarts", "0"]) == 2
+    assert "restart counts must be >= 1" in capsys.readouterr().err
 
 
 def test_benchmark_unknown_classifier_exit_2(tmp_path, toy_csv):

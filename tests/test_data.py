@@ -3,14 +3,12 @@ import pytest
 
 from ndc.data import (
     CsvFormatError,
-    DataMatrix,
     FeaturePartition,
     LabeledDataset,
     class_index_sets,
     dn_norm_sq,
     read_feature_csv,
     read_labeled_csv,
-    restrict,
     validate_partition,
     write_labeled_csv,
 )
@@ -40,22 +38,6 @@ def test_dn_norm_permutation_invariant():
     for _ in range(50):
         v = rng.normal(size=rng.integers(2, 30))
         assert dn_norm_sq(rng.permutation(v)) == pytest.approx(dn_norm_sq(v), rel=1e-12)
-
-
-def test_restrict_examples():
-    x = [5.0, 6.0, 7.0]
-    assert restrict(x, [0, 2]).tolist() == [5.0, 7.0]
-    assert restrict(x, [1]).tolist() == [6.0]
-    assert restrict(x, [0, 1, 2]).tolist() == [5.0, 6.0, 7.0]
-
-
-def test_restrict_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        restrict([1.0, 2.0], [])
-    with pytest.raises(IndexError):
-        restrict([1.0, 2.0], [2])
-    with pytest.raises(IndexError):
-        restrict([1.0, 2.0], [-1])
 
 
 def test_class_index_sets_examples():
@@ -96,9 +78,26 @@ def test_k_bounds_enforced():
 
 def test_non_finite_rejected():
     with pytest.raises(ValueError, match="NaN or infinite"):
-        DataMatrix(np.array([[1.0, np.nan]]))
+        LabeledDataset.from_arrays(np.array([[1.0, np.nan]]), [1])
     with pytest.raises(ValueError, match="NaN or infinite"):
-        DataMatrix(np.array([[np.inf, 1.0]]))
+        LabeledDataset.from_arrays(np.array([[np.inf, 1.0]]), [1])
+
+
+def test_matrix_shape_rejected():
+    with pytest.raises(ValueError, match="2-dimensional"):
+        LabeledDataset.from_arrays(np.ones(3), [1, 1, 1])
+    with pytest.raises(ValueError, match="at least one row and one column"):
+        LabeledDataset.from_arrays(np.ones((2, 0)), [1, 1])
+
+
+def test_matrix_copied_and_frozen():
+    x = np.eye(2)
+    ds = LabeledDataset.from_arrays(x, [1, 2])
+    x[0, 0] = 5.0
+    assert ds.x[0, 0] == 1.0
+    assert not ds.x.flags.writeable
+    with pytest.raises(ValueError):
+        ds.x[0, 0] = 5.0
 
 
 def test_validate_partition_cases():

@@ -97,6 +97,16 @@ def test_tune_lambda_skips_always_failing_candidate():
     assert 0.5 not in errors
 
 
+def test_tune_lambda_skips_candidate_with_too_few_features():
+    # p = 2 features cannot hold k + 1 = 3 groups, so every finite
+    # multiplier fails its up-front check and counts as a failed candidate
+    x = np.array([[0.0, 5.0], [1.0, 4.0], [0.5, 4.5], [5.0, 0.0], [4.0, 1.0], [4.5, 0.5]] * 2)
+    ds = LabeledDataset.from_arrays(x, [1, 1, 1, 2, 2, 2] * 2)
+    lam, errors = tune_lambda(ds, (0.9, math.inf), CvConfig(seed=2), restarts=3)
+    assert lam == math.inf
+    assert list(errors) == [math.inf]
+
+
 def test_tune_lambda_lets_programming_errors_escape(monkeypatch, toy_ds):
     import ndc.evaluate
 
@@ -200,3 +210,18 @@ def test_classifier_name_handling():
         canonical_classifier("mystery")
     with pytest.raises(ValueError):
         run_simulation_benchmark(1, 0.3, 3, reps=1, classifiers=["nc"], seed=0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"tune_restarts": 0},
+    {"final_restarts": 0},
+    {"lambda_grid": ()},
+    {"lambda_grid": (0.9, 0.0)},
+    {"lambda_grid": (-1.0, math.inf)},
+    {"lambda_grid": (math.nan,)},
+    {"knn_neighbors": 0},
+    {"delta_grid_size": 0},
+])
+def test_harness_options_rejected(bad):
+    with pytest.raises(ValueError):
+        HarnessOptions(**bad)

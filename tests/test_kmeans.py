@@ -307,3 +307,14 @@ def test_config_validation():
         FitConfig(lam=-1.0)
     with pytest.raises(ValueError):
         FitConfig(max_iters=0)
+
+
+def test_selection_needs_more_features_than_classes():
+    # k + 1 = 3 groups cannot be formed from p = 2 features; the check
+    # runs before any restart and names the multiplier, k + 1 and p
+    ds = LabeledDataset.from_arrays([[0.0, 5.0], [1.0, 4.0], [5.0, 0.0], [4.0, 1.0]],
+                                    [1, 1, 2, 2])
+    with pytest.raises(ValueError, match=r"lambda=0\.9 needs k \+ 1 = 3 .* p = 2 features"):
+        fit_best(ds, FitConfig(restarts=1, lam=0.9))
+    _, model, _ = fit_best(ds, FitConfig(restarts=1))  # no selection: k = p fits
+    assert model.selected_feature_count == 2
