@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -53,6 +54,9 @@ DEFAULT_LAMBDA_GRID = (0.6, 0.8, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, math.inf)
 
 UNAVAILABLE_CLASSIFIERS = ("lda", "svm", "logistic")
 _ALIASES = {"ndcs": "ndc-s", "ndc_s": "ndc-s"}
+
+# Native thread pools a worker process would otherwise size to every core.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # What a fit raises on data it cannot handle; a benchmark unit or tuning
 # candidate that raises one of these is counted as failed.  Anything else
@@ -370,6 +374,27 @@ def _sim_rep(args) -> list[tuple[float, float, dict] | None]:
                        rngmod.child_seed(seed, "rep", rep), options)
 
 
+def _map_in_workers(fn, jobs, workers: int) -> list:
+    """``[fn(job) for job in jobs]`` in ``workers`` processes.
+
+    The pool already fills the cores, so each worker runs its BLAS with
+    one thread unless the caller's environment says otherwise: a BLAS
+    pool per worker oversubscribes the cores, and OpenBLAS threads spin
+    between products.  The workers are spawned, because a native library
+    reads these variables when it loads and a forked worker inherits the
+    parent's loaded pool.
+    """
+    unset = [var for var in _THREAD_VARS if var not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, jobs))
+    finally:
+        for var in unset:
+            del os.environ[var]
+
+
 def run_simulation_benchmark(sim_id: int, level: float, d_or_r: int, reps: int,
                              classifiers, seed: int,
                              options: HarnessOptions | None = None,
@@ -379,7 +404,9 @@ def run_simulation_benchmark(sim_id: int, level: float, d_or_r: int, reps: int,
 
     Repetitions are independent and may run in parallel worker processes;
     every repetition derives its own streams from ``seed``, so results do
-    not depend on the worker count.
+    not depend on the worker count.  The workers are spawned, so a script
+    that calls this with more than one worker must guard its entry point
+    with ``if __name__ == "__main__":``.
     """
     if reps < 2:
         raise ValueError("need at least 2 repetitions")
@@ -389,8 +416,7 @@ def run_simulation_benchmark(sim_id: int, level: float, d_or_r: int, reps: int,
     if threads is None:
         threads = os.cpu_count() or 1
     if threads > 1 and reps > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, reps)) as pool:
-            per_rep = list(pool.map(_sim_rep, jobs))
+        per_rep = _map_in_workers(_sim_rep, jobs, min(threads, reps))
     else:
         per_rep = [_sim_rep(job) for job in jobs]
     setting = f"sim{sim_id} level={level} " + (f"r={d_or_r}" if sim_id == 4 else f"d={d_or_r}")

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ndc.evaluate import (
     tune_delta,
     tune_lambda,
 )
+from ndc.evaluate import _THREAD_VARS, _map_in_workers
 
 
 def test_misclassification_examples():
@@ -225,3 +227,16 @@ def test_classifier_name_handling():
 def test_harness_options_rejected(bad):
     with pytest.raises(ValueError):
         HarnessOptions(**bad)
+
+
+def test_pool_workers_get_one_blas_thread_unless_set(monkeypatch):
+    # each worker reports its own environment; the caller's is left as it was
+    for var in _THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    seen = _map_in_workers(os.getenv, list(_THREAD_VARS), workers=2)
+    assert dict(zip(_THREAD_VARS, seen)) == {"OPENBLAS_NUM_THREADS": "1",
+                                             "OMP_NUM_THREADS": "1",
+                                             "MKL_NUM_THREADS": "3"}
+    assert "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ
+    assert os.environ["MKL_NUM_THREADS"] == "3"

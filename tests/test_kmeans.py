@@ -1,16 +1,30 @@
+"""The partition fit.  The lockstep fit is compared with the per-restart
+loop it replaced, which is kept below as it was: one restart at a time,
+one center and one distance column per group, and a Python loop over
+the clusters for the k-means center update."""
+
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import ndc.kmeans
 from conftest import block_dataset, random_dataset
 from ndc.classifier import compute_centroids, training_error
-from ndc.data import FeaturePartition, LabeledDataset
+from ndc.data import FeaturePartition, LabeledDataset, row_sq_norms, sq_distances, validate_partition
 from ndc.kmeans import (
     ClusterCenters,
+    EmptyGroupError,
     FitConfig,
+    FitData,
     FitFailedError,
     RestartsExhaustedError,
+    _fit_lanes,
+    _labels,
+    _lane_errors,
+    _refine_lanes,
     assign_rows,
     clustering_objective,
     fit_best,
@@ -20,6 +34,120 @@ from ndc.kmeans import (
     update_centers,
 )
 from ndc import rng as rngmod
+
+
+def ref_kmeans_rows(points, point_sq, n_clusters, rng, max_iters=100):
+    n = points.shape[0]
+
+    def sq_distances_to(i):
+        return sq_distances(points, point_sq, points[i:i + 1], point_sq[i:i + 1])[:, 0]
+
+    centers = np.empty((n_clusters, points.shape[1]))
+    idx = rng.integers(n)
+    centers[0] = points[idx]
+    d2 = sq_distances_to(idx)
+    for j in range(1, n_clusters):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centers[j] = points[idx]
+        d2 = np.minimum(d2, sq_distances_to(idx))
+    labels = None
+    for _ in range(max_iters):
+        dist = sq_distances(points, point_sq, centers, row_sq_norms(centers))
+        new_labels = dist.argmin(axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(n_clusters):
+            members = points[labels == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+    return labels
+
+
+def ref_init(fd, n_groups, has_special, rng):
+    """One initialization attempt: the groups, or None on an empty cluster."""
+    labels = ref_kmeans_rows(fd.points, fd.point_sq, n_groups, rng)
+    sizes = np.bincount(labels, minlength=n_groups)
+    if sizes.min() == 0:
+        return None
+    order = np.arange(n_groups)
+    if has_special:
+        special = int(sizes.argmax())
+        order = np.concatenate(([special], np.delete(order, special)))
+    return [np.flatnonzero(labels == j) for j in order]
+
+
+def ref_centers(ds, fd, groups, has_special):
+    centers = []
+    if has_special:
+        centers.append(ds.x[:, groups[0]].mean(axis=1) if len(groups[0]) else None)
+    for g, xs in zip(groups[int(has_special):], fd.class_x):
+        centers.append(xs[:, g].mean(axis=1))
+    return centers
+
+
+def ref_assign(fd, centers, has_special, lam):
+    def dn(cols, cols_sq, m):
+        d2 = sq_distances(cols, cols_sq, m[None, :], row_sq_norms(m[None, :]))[:, 0]
+        return np.sqrt(d2 / len(m))
+
+    dist = np.full((len(fd.points), len(centers)), np.inf)
+    offset = int(has_special)
+    if has_special and centers[0] is not None and not math.isinf(lam):
+        dist[:, 0] = lam * dn(fd.points, fd.point_sq, centers[0])
+    for j, (xs, xs_sq) in enumerate(zip(fd.class_x, fd.class_sq)):
+        dist[:, j + offset] = dn(xs.T, xs_sq, centers[j + offset])
+    assignment = dist.argmin(axis=1)
+    return [np.flatnonzero(assignment == j) for j in range(len(centers))]
+
+
+def ref_refine(ds, fd, groups, has_special, config):
+    """The alternation: the final groups, or None when a class group empties."""
+    for _ in range(config.max_iters):
+        new = ref_assign(fd, ref_centers(ds, fd, groups, has_special), has_special, config.lam)
+        if any(len(g) == 0 for g in new[int(has_special):]):
+            return None
+        if all(np.array_equal(a, b) for a, b in zip(new, groups)):
+            return new
+        groups = new
+    return groups
+
+
+def ref_lloyd_fit(ds, fd, config, rng):
+    """One restart: ``(groups or None, attempts used)``."""
+    has_special = config.with_selection
+    for attempt in range(1, config.max_restart_attempts_on_empty + 1):
+        groups = ref_init(fd, ds.k + has_special, has_special, rng)
+        if groups is not None:
+            groups = ref_refine(ds, fd, groups, has_special, config)
+        if groups is not None:
+            return groups, attempt
+    return None, config.max_restart_attempts_on_empty
+
+
+def ref_fit_best(ds, config):
+    """Every restart's ``(groups or None, attempts, training error)`` and
+    the winner's index, ties to the earliest restart."""
+    fd = FitData.of(ds)
+    runs, winner = [], None
+    for r in range(config.restarts):
+        groups, attempts = ref_lloyd_fit(ds, fd, config,
+                                         rngmod.generator(config.seed, "restart", r))
+        err = None
+        if groups is not None:
+            part = FeaturePartition(tuple(groups), has_special=config.with_selection)
+            err = training_error(ds, compute_centroids(ds, part))
+            if winner is None or err < runs[winner][2]:
+                winner = r
+        runs.append((groups, attempts, err))
+    if winner is None:
+        raise FitFailedError(f"all {config.restarts} restarts failed "
+                             f"({config.restarts} exhausted their empty-group attempts)")
+    return runs, winner
 
 
 def groups_as_sets(part):
@@ -290,12 +418,17 @@ def test_finite_lambda_fits_special_partition():
 
 def test_duplicate_features_exhaust_restarts():
     ds = LabeledDataset.from_arrays([[1.0, 1.0], [2.0, 2.0]], [1, 2])
+    config = FitConfig(restarts=1, max_restart_attempts_on_empty=7)
     with pytest.raises(RestartsExhaustedError) as info:
-        lloyd_fit(ds, FitConfig(restarts=1, max_restart_attempts_on_empty=7),
-                  rngmod.generator(0, "dup"))
+        lloyd_fit(ds, config, rngmod.generator(0, "dup"))
     assert info.value.attempts == 7
-    with pytest.raises(FitFailedError):
-        fit_best(ds, FitConfig(restarts=3, max_restart_attempts_on_empty=5))
+    assert ref_lloyd_fit(ds, FitData.of(ds), config, rngmod.generator(0, "dup")) == (None, 7)
+    config = FitConfig(restarts=3, max_restart_attempts_on_empty=5)
+    with pytest.raises(FitFailedError) as want:
+        ref_fit_best(ds, config)
+    with pytest.raises(FitFailedError) as got:
+        fit_best(ds, config)
+    assert str(got.value) == str(want.value)
 
 
 def test_config_validation():
@@ -318,3 +451,198 @@ def test_selection_needs_more_features_than_classes():
         fit_best(ds, FitConfig(restarts=1, lam=0.9))
     _, model, _ = fit_best(ds, FitConfig(restarts=1))  # no selection: k = p fits
     assert model.selected_feature_count == 2
+
+
+def _groups(part):
+    return [g.tolist() for g in part.groups]
+
+
+def assert_lockstep_matches_reference(ds, config):
+    """Every lane of the lockstep fit equals the reference's restart of the
+    same index, the one-pass training error equals `training_error` for
+    every lane, and `fit_best` keeps the reference's winner."""
+    runs, winner = ref_fit_best(ds, config)
+    fd = FitData.of(ds)
+    streams = [rngmod.generator(config.seed, "restart", r) for r in range(config.restarts)]
+    labels, fitted = _fit_lanes(fd, config, streams)
+    assert fitted.tolist() == [groups is not None for groups, _, _ in runs]
+    fitted_runs = [(r, groups, err) for r, (groups, _, err) in enumerate(runs) if groups is not None]
+    for (r, groups, _), row in zip(fitted_runs, labels[fitted]):
+        assert [np.flatnonzero(row == j).tolist() for j in range(len(groups))] == \
+            [g.tolist() for g in groups], f"restart {r}"
+    errors = _lane_errors(ds, fd, labels[fitted], config.with_selection)
+    assert errors.tolist() == [err for _, _, err in fitted_runs]
+    assert np.flatnonzero(fitted)[errors.argmin()] == winner
+    part, model, err = fit_best(ds, config)
+    assert _groups(part) == [g.tolist() for g in runs[winner][0]]
+    assert err == runs[winner][2] == training_error(ds, model)
+
+
+@pytest.mark.parametrize("restarts", [1, 4, 20])
+@pytest.mark.parametrize("lam", [math.inf, 0.9, 0.6])
+def test_lockstep_fit_matches_per_restart_reference(lam, restarts):
+    rng = np.random.default_rng(31)
+    for trial in range(3):
+        ds = block_dataset(rng, k=int(rng.integers(2, 4)), n_per_class=int(rng.integers(6, 15)),
+                           d=int(rng.integers(2, 4)), sigma2=1.8, r=int(rng.integers(0, 8)))
+        assert_lockstep_matches_reference(ds, FitConfig(restarts=restarts, lam=lam, seed=trial))
+
+
+def test_lockstep_fit_matches_reference_at_one_iteration():
+    rng = np.random.default_rng(32)
+    for lam in (math.inf, 0.9):
+        ds = block_dataset(rng, k=3, n_per_class=10, d=3, sigma2=1.8, r=5)
+        assert_lockstep_matches_reference(ds, FitConfig(restarts=8, lam=lam, max_iters=1, seed=4))
+
+
+def test_lockstep_fit_matches_reference_through_empty_group_retries():
+    # at lam = 0.6 the special group swallows a class group in most first
+    # attempts; with two attempts per restart some restarts give up
+    ds = block_dataset(np.random.default_rng(1), k=3, n_per_class=8, d=2, sigma2=1.5, r=6)
+    config = FitConfig(restarts=20, lam=0.6, seed=1)
+    runs, _ = ref_fit_best(ds, config)
+    assert max(attempts for _, attempts, _ in runs) > 1
+    assert_lockstep_matches_reference(ds, config)
+    few = FitConfig(restarts=20, lam=0.6, seed=1, max_restart_attempts_on_empty=2)
+    runs, _ = ref_fit_best(ds, few)
+    assert 0 < sum(groups is None for groups, _, _ in runs) < few.restarts
+    assert_lockstep_matches_reference(ds, few)
+
+
+def test_one_pass_errors_break_score_ties_like_predict():
+    # small integers on four rows per class keep every mean, residual and
+    # score exact in any summation order, so tied scores are exact ties
+    rng = np.random.default_rng(37)
+    for has_special in (False, True):
+        ds = LabeledDataset.from_arrays(rng.integers(0, 3, size=(12, 8)).astype(float),
+                                        np.repeat([1, 2, 3], 4))
+        n_groups = ds.k + has_special
+        labels = np.array([rng.permutation(np.arange(ds.p) % n_groups) for _ in range(40)])
+        got = _lane_errors(ds, FitData.of(ds), labels, has_special)
+        for row, err in zip(labels, got):
+            part = FeaturePartition(tuple(np.flatnonzero(row == j) for j in range(n_groups)),
+                                    has_special=has_special)
+            assert err == training_error(ds, compute_centroids(ds, part))
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_lane_blocks_do_not_change_the_fit(monkeypatch, block):
+    rng = np.random.default_rng(33)
+    cases = [(block_dataset(rng, k=3, n_per_class=10, d=2, sigma2=1.8, r=6), lam)
+             for lam in (math.inf, 0.9, 0.6)]
+    want = [fit_best(ds, FitConfig(restarts=10, lam=lam, seed=2)) for ds, lam in cases]
+    monkeypatch.setattr(ndc.kmeans, "LANE_BLOCK", block)
+    for (ds, lam), (part, model, err) in zip(cases, want):
+        got_part, got_model, got_err = fit_best(ds, FitConfig(restarts=10, lam=lam, seed=2))
+        assert _groups(got_part) == _groups(part) and got_err == err
+        for a, b in zip(got_model.centroids, model.centroids):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_fit_with_as_many_features_as_classes():
+    ds = random_dataset(np.random.default_rng(34), k=3, p=3, n_per_class=6)
+    part, model, _ = fit_best(ds, FitConfig(restarts=5, seed=1))
+    assert sorted(len(g) for g in part.groups) == [1, 1, 1]
+    assert validate_partition(part, ds.p, ds.k) is None
+
+
+def test_one_row_per_class_fits_with_zero_training_error():
+    rng = np.random.default_rng(35)
+    for lam in (math.inf, 0.9):
+        ds = LabeledDataset.from_arrays(rng.normal(size=(3, 7)), [1, 2, 3])
+        part, model, err = fit_best(ds, FitConfig(restarts=5, lam=lam, seed=3))
+        assert err == 0.0
+        assert validate_partition(part, ds.p, ds.k) is None
+
+
+def test_constant_and_duplicate_columns_fit():
+    rng = np.random.default_rng(36)
+    base = block_dataset(rng, k=2, n_per_class=10, d=3, sigma2=2.0, r=2)
+    x = np.hstack([base.x, np.full((base.n, 1), 4.0), base.x[:, [0, 0, 5]]])
+    ds = LabeledDataset.from_arrays(x, base.labels)
+    for lam in (math.inf, 0.9):
+        part, model, err = fit_best(ds, FitConfig(restarts=10, lam=lam, seed=5))
+        assert validate_partition(part, ds.p, ds.k) is None
+        assert 0.0 <= err <= 0.5
+
+
+def test_all_constant_matrix_fails_after_every_attempt(monkeypatch):
+    # every feature is the same point, so k-means never fills both
+    # groups; `ndc fit` maps the failure to exit code 3 (tests/test_cli.py)
+    ds = LabeledDataset.from_arrays(np.ones((6, 3)), [1, 1, 1, 2, 2, 2])
+    seeded = []
+    init_lanes = ndc.kmeans._init_lanes
+    monkeypatch.setattr(ndc.kmeans, "_init_lanes",
+                        lambda fd, g, s, streams: seeded.append(len(streams))
+                        or init_lanes(fd, g, s, streams))
+    with pytest.raises(FitFailedError, match="all 3 restarts failed"):
+        fit_best(ds, FitConfig(restarts=3, max_restart_attempts_on_empty=4))
+    assert sum(seeded) == 3 * 4
+
+
+@given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([math.inf, 0.9]))
+def test_fit_best_partition_ignores_row_order(seed, lam):
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, p=int(rng.integers(4, 9)))
+    order = rng.permutation(ds.n)
+    shuffled = LabeledDataset.from_arrays(ds.x[order], ds.labels[order], k=ds.k)
+    config = FitConfig(restarts=4, lam=lam, seed=seed % 1000)
+    try:
+        part, _, err = fit_best(ds, config)
+    except FitFailedError:
+        with pytest.raises(FitFailedError):
+            fit_best(shuffled, config)
+        return
+    got, _, got_err = fit_best(shuffled, config)
+    assert _groups(got) == _groups(part) and got_err == err
+
+
+@given(seed=st.integers(0, 2**32 - 1), power=st.integers(-6, 6),
+       lam=st.sampled_from([math.inf, 0.9]))
+def test_fit_best_partition_ignores_power_of_two_scaling(seed, power, lam):
+    # scaling by 2^power is exact in every sum, product, square root and
+    # probability of the fit, so the partition must not move at all
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, p=int(rng.integers(4, 9)))
+    scaled = LabeledDataset.from_arrays(ds.x * 2.0 ** power, ds.labels, k=ds.k)
+    config = FitConfig(restarts=4, lam=lam, seed=seed % 1000)
+    try:
+        part, _, err = fit_best(ds, config)
+    except FitFailedError:
+        with pytest.raises(FitFailedError):
+            fit_best(scaled, config)
+        return
+    got, _, got_err = fit_best(scaled, config)
+    assert _groups(got) == _groups(part) and got_err == err
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lockstep_refine_objective_never_increases_with_special_group(seed):
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, k=int(rng.integers(2, 4)), p=int(rng.integers(5, 10)))
+    starts = []
+    for r in range(4):
+        try:
+            starts.append(_labels(init_partition(ds, ds.k + 1, rngmod.generator(seed, "obj", r)),
+                                  ds.p))
+        except EmptyGroupError:
+            pass
+    if not starts:
+        return
+    fd = FitData.of(ds)
+
+    def objectives(rows):
+        return [clustering_objective(ds, FeaturePartition(
+            tuple(np.flatnonzero(row == j) for j in range(ds.k + 1)), has_special=True))
+            for row in rows]
+
+    labels = np.array(starts)
+    values = objectives(labels)
+    for _ in range(30):
+        labels, _, emptied = _refine_lanes(fd, labels, 1.0, True, max_iters=1)
+        labels, values = labels[~emptied], np.asarray(values)[~emptied]
+        if not len(labels):
+            break
+        new_values = np.array(objectives(labels))
+        assert (new_values <= values + 1e-9).all()
+        values = new_values
