@@ -34,7 +34,6 @@ from .data import (
     CsvFormatError,
     FeaturePartition,
     LabeledDataset,
-    class_index_sets,
     dn_norm_sq,
     read_labeled_csv,
     validate_partition,
@@ -56,7 +55,6 @@ from .kmeans import (
     EmptyGroupError,
     FitConfig,
     FitFailedError,
-    RestartsExhaustedError,
     assign_rows,
     clustering_objective,
     fit_best,

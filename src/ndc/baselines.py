@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, class_index_sets, feature_rows, row_sq_norms, sq_distances
+from .data import LabeledDataset, class_blocks, feature_rows, row_sq_norms, sq_distances
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +26,7 @@ class NcModel:
 
 
 def nc_fit(ds: LabeledDataset) -> NcModel:
-    centroids = np.stack([ds.x[s].mean(axis=0) for s in class_index_sets(ds)])
+    centroids = np.stack([xs.mean(axis=0) for xs in class_blocks(ds)])
     return NcModel(centroids, k=ds.k, p=ds.p)
 
 
@@ -71,18 +71,18 @@ def _nsc_stats(ds: LabeledDataset):
         raise ValueError("shrunken centroids need at least two classes")
     if ds.n <= ds.k:
         raise ValueError("pooled within-class sd needs n > k")
-    rows = class_index_sets(ds)
+    blocks = class_blocks(ds)
     overall = ds.x.mean(axis=0)
-    class_means = np.stack([ds.x[s].mean(axis=0) for s in rows])
+    class_means = np.stack([xs.mean(axis=0) for xs in blocks])
     within_ss = np.zeros(ds.p)
-    for j, s in enumerate(rows):
-        within_ss += np.square(ds.x[s] - class_means[j]).sum(axis=0)
+    for xs, mean in zip(blocks, class_means):
+        within_ss += np.square(xs - mean).sum(axis=0)
     s_i = np.sqrt(within_ss / (ds.n - ds.k))
     s0 = float(np.median(s_i))
     scale = s_i + s0
     if np.any(scale == 0):
         raise ValueError("degenerate constant data: zero pooled sd and zero s0")
-    counts = np.array([len(s) for s in rows], dtype=np.float64)
+    counts = np.array([len(xs) for xs in blocks], dtype=np.float64)
     m_k = np.sqrt(1.0 / counts - 1.0 / ds.n)
     d = (class_means - overall) / (m_k[:, None] * scale[None, :])
     return overall, scale, s0, counts, m_k, d

@@ -19,7 +19,7 @@ import numpy as np
 from .data import (
     FeaturePartition,
     LabeledDataset,
-    class_index_sets,
+    class_blocks,
     feature_rows,
     validate_partition,
 )
@@ -57,12 +57,13 @@ class NdcModel:
 
 def compute_centroids(ds: LabeledDataset, part: FeaturePartition) -> NdcModel:
     """Per-class mean of the rows restricted to that class's feature group."""
-    rows = class_index_sets(ds)
     centroids = []
-    for g, s in zip(part.class_groups, rows):
+    for g, xs in zip(part.class_groups, class_blocks(ds)):
         if len(g) == 0:
             raise ValueError("cannot compute a centroid for an empty feature group")
-        centroids.append(ds.x[np.ix_(s, g)].mean(axis=0))
+        # ``take`` gathers a row-major block; numpy would sum the
+        # column-major ``xs[:, g]`` in another order.
+        centroids.append(xs.take(g, axis=1).mean(axis=0))
     return NdcModel(part, tuple(centroids), k=ds.k, p=ds.p)
 
 
@@ -93,8 +94,8 @@ def empirical_risk(ds: LabeledDataset, model: NdcModel) -> float:
     if ds.p != model.p or ds.k != model.k:
         raise ValueError("model and dataset dimensions disagree")
     total = 0.0
-    for s, g, c in zip(class_index_sets(ds), model.partition.class_groups, model.centroids):
-        total += np.square(ds.x[np.ix_(s, g)] - c).mean(axis=1).sum()
+    for xs, g, c in zip(class_blocks(ds), model.partition.class_groups, model.centroids):
+        total += np.square(xs.take(g, axis=1) - c).mean(axis=1).sum()
     return float(total) / ds.n
 
 

@@ -7,7 +7,7 @@ and ``oracle`` (brute-force risk minimization, the block-variance
 structure check, and the consistency experiment).
 
 Exit codes: 0 success, 2 bad input or arguments, 3 algorithmic failure
-(all restarts exhausted).  All randomness derives from ``--seed``.
+(every restart of the fit failed).  All randomness derives from ``--seed``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .evaluate import (
     run_cv_benchmark,
     run_simulation_benchmark,
 )
-from .kmeans import FitConfig, FitFailedError, RestartsExhaustedError, fit_best
+from .kmeans import FitConfig, FitFailedError, fit_best
 from .oracle import (
     block_spec,
     brute_force_minimizer,
@@ -235,7 +235,7 @@ def main(argv=None) -> int:
     except (CliError, CsvFormatError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RestartsExhaustedError, FitFailedError) as exc:
+    except FitFailedError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 3
 

@@ -117,10 +117,6 @@ class FeaturePartition:
     def special(self) -> np.ndarray | None:
         return self.groups[0] if self.has_special else None
 
-    @property
-    def n_features(self) -> int:
-        return sum(len(g) for g in self.groups)
-
     def groups_1based(self) -> list[list[int]]:
         return [(g + 1).tolist() for g in self.groups]
 
@@ -170,9 +166,10 @@ def feature_rows(x, p: int) -> np.ndarray:
     return x
 
 
-def class_index_sets(ds: LabeledDataset) -> list[np.ndarray]:
-    """Row indices of each class: element j-1 holds the rows labeled j."""
-    return [np.flatnonzero(ds.labels == j) for j in range(1, ds.k + 1)]
+def class_blocks(ds: LabeledDataset) -> tuple[np.ndarray, ...]:
+    """Each class's rows as one block: element j-1 holds the rows labeled
+    j, in their original order."""
+    return tuple(ds.x[ds.labels == j] for j in range(1, ds.k + 1))
 
 
 def validate_partition(part: FeaturePartition, p: int, k: int) -> str | None:
@@ -200,7 +197,7 @@ def validate_partition(part: FeaturePartition, p: int, k: int) -> str | None:
 def read_labeled_csv(path, label_col: str = "label") -> LabeledDataset:
     """Read the delimited ingestion format: a header row, one integer label
     column, and numeric feature columns taken in file order."""
-    x, labels, _ = _read_csv(path, label_col, require_labels=True)
+    x, labels, _, _ = _read_csv(path, label_col, require_labels=True)
     try:
         return LabeledDataset.from_arrays(x, labels)
     except ValueError as exc:
@@ -213,10 +210,10 @@ def read_feature_csv(path, label_col: str = "label"):
     Returns ``(x, labels_or_none, raw_header, raw_rows)`` where the raw
     parts preserve the file text for pass-through output.
     """
-    return _read_csv(path, label_col, require_labels=False, keep_raw=True)
+    return _read_csv(path, label_col, require_labels=False)
 
 
-def _read_csv(path, label_col, require_labels, keep_raw=False):
+def _read_csv(path, label_col, require_labels):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -257,9 +254,7 @@ def _read_csv(path, label_col, require_labels, keep_raw=False):
         r, c = np.argwhere(~finite)[0]
         raise CsvFormatError(f"{path}: row {r + 2}, column '{header[feat_idx[c]]}': "
                              f"non-finite value {rows[r][feat_idx[c]]!r}")
-    if keep_raw:
-        return x, labels, header, rows
-    return x, labels, header
+    return x, labels, header, rows
 
 
 def write_labeled_csv(path, ds: LabeledDataset, label_col: str = "label") -> None:

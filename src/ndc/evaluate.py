@@ -9,9 +9,9 @@ a row labeller, the number of features used and the chosen parameters.
 ndc is the ndc-s fit with feature selection off and no tuning.  Both
 runners score each unit (a simulation repetition or a CV fold) with one
 unit scorer and build the report with one aggregator.  One nested-CV
-scorer tunes the special-group multiplier for ndc-s and the shrinkage
-threshold for nsc; tuning fits use a reduced restart budget, final fits
-the full one.
+scorer, over `NESTED_FOLDS` stratified folds of the training data, tunes
+the special-group multiplier for ndc-s and the shrinkage threshold for
+nsc; tuning fits use a reduced restart budget, final fits the full one.
 
 The heavier comparators from the literature (LDA, SVM, L1 logistic
 regression) are not part of this build; reports list them as
@@ -41,16 +41,12 @@ from .baselines import (
 )
 from .classifier import predict_many
 from .data import LabeledDataset
-from .kmeans import (
-    EmptyGroupError,
-    FitConfig,
-    FitFailedError,
-    RestartsExhaustedError,
-    fit_best,
-)
+from .kmeans import FitConfig, FitFailedError, fit_best
 from .simulate import generate, preset
 
 DEFAULT_LAMBDA_GRID = (0.6, 0.8, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, math.inf)
+# Folds of the nested CV that tunes a hyperparameter on a training set.
+NESTED_FOLDS = 3
 
 UNAVAILABLE_CLASSIFIERS = ("lda", "svm", "logistic")
 _ALIASES = {"ndcs": "ndc-s", "ndc_s": "ndc-s"}
@@ -58,10 +54,11 @@ _ALIASES = {"ndcs": "ndc-s", "ndc_s": "ndc-s"}
 # Native thread pools a worker process would otherwise size to every core.
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# What a fit raises on data it cannot handle; a benchmark unit or tuning
-# candidate that raises one of these is counted as failed.  Anything else
-# is a programming error and propagates.
-_FIT_FAILURES = (EmptyGroupError, RestartsExhaustedError, FitFailedError, ValueError)
+# What a fit raises on data it cannot handle (an emptied class group is
+# a ValueError); a benchmark unit or tuning candidate that raises one of
+# these is counted as failed.  Anything else is a programming error and
+# propagates.
+_FIT_FAILURES = (FitFailedError, ValueError)
 
 
 def misclassification_rate(predicted, actual) -> float:
@@ -75,35 +72,29 @@ def misclassification_rate(predicted, actual) -> float:
 @dataclass(frozen=True)
 class CvConfig:
     folds: int = 3
-    nested_folds: int = 3
-    stratified: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.folds < 2 or self.nested_folds < 2:
-            raise ValueError("fold counts must be >= 2")
+        if self.folds < 2:
+            raise ValueError("folds must be >= 2")
 
 
 def k_fold_split(ds: LabeledDataset, cv: CvConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Disjoint covering folds as (train_idx, test_idx) pairs.
+    """Disjoint covering stratified folds as (train_idx, test_idx) pairs.
 
-    Stratified splitting shuffles each class separately and deals its
-    rows round-robin, so per-class counts differ by at most one across
-    folds; every class therefore needs at least ``folds`` samples.
+    Each class is shuffled separately and its rows dealt round-robin, so
+    per-class counts differ by at most one across folds; every class
+    therefore needs at least ``folds`` samples.
     """
     rng = rngmod.generator(cv.seed, "kfold")
     fold_of = np.empty(ds.n, dtype=np.int64)
-    if cv.stratified:
-        for j in range(1, ds.k + 1):
-            rows = np.flatnonzero(ds.labels == j)
-            if len(rows) < cv.folds:
-                raise ValueError(
-                    f"class {j} has {len(rows)} samples, fewer than {cv.folds} folds")
-            rows = rng.permutation(rows)
-            fold_of[rows] = np.arange(len(rows)) % cv.folds
-    else:
-        order = rng.permutation(ds.n)
-        fold_of[order] = np.arange(ds.n) % cv.folds
+    for j in range(1, ds.k + 1):
+        rows = np.flatnonzero(ds.labels == j)
+        if len(rows) < cv.folds:
+            raise ValueError(
+                f"class {j} has {len(rows)} samples, fewer than {cv.folds} folds")
+        rows = rng.permutation(rows)
+        fold_of[rows] = np.arange(len(rows)) % cv.folds
     splits = []
     for f in range(cv.folds):
         test = np.flatnonzero(fold_of == f)
@@ -141,14 +132,14 @@ def _tune(train: LabeledDataset, grid, cv: CvConfig, stream: str, what: str,
           fit) -> tuple[float, dict[float, float]]:
     """Pick the grid value with the lowest nested-CV misclassification.
 
-    The nested folds are drawn from ``cv.seed``'s child ``stream``.
+    The `NESTED_FOLDS` nested folds are drawn from ``cv.seed``'s child
+    ``stream``.
     ``fit(data, i, f, seed)`` fits candidate ``grid[i]`` on the training
     part of nested fold ``f`` (``seed`` being the nested folds' seed) and
     returns a function that labels rows.  A candidate whose fits fail on
     every nested fold is skipped; ties go to the largest value.
     """
-    nested = CvConfig(folds=cv.nested_folds, nested_folds=cv.nested_folds,
-                      stratified=cv.stratified, seed=rngmod.child_seed(cv.seed, stream))
+    nested = CvConfig(folds=NESTED_FOLDS, seed=rngmod.child_seed(cv.seed, stream))
     splits = k_fold_split(train, nested)
     mean_errors: dict[float, float] = {}
     for i, value in enumerate(grid):
@@ -313,7 +304,6 @@ class EvalReport:
     unit: str  # "rep" for simulations, "fold" for CV runs
     stats: list[ClassifierStats]
     notes: tuple[str, ...] = ()
-    unavailable: tuple[str, ...] = UNAVAILABLE_CLASSIFIERS
 
     def table_lines(self) -> list[str]:
         header = f"{'classifier':<10} {'mean_error':>11} {'se_error':>9} {'mean_feat':>10} {'se_feat':>8} {self.unit + 's':>6}"
@@ -325,8 +315,7 @@ class EvalReport:
                 + (f"  [{s.failures} failed]" if s.failures else ""))
         for note in self.notes:
             lines.append(note)
-        if self.unavailable:
-            lines.append("not available in this build: " + ", ".join(self.unavailable))
+        lines.append("not available in this build: " + ", ".join(UNAVAILABLE_CLASSIFIERS))
         return lines
 
     def csv_rows(self) -> list[list]:

@@ -27,15 +27,16 @@ row of a (lanes x p) label matrix, holding every feature's group.  A
 Lloyd step of all live lanes is one Gram product for the distances and
 one one-hot product for the centers, so the Python work per step does
 not grow with the number of restarts.  A lane leaves when its labels
-repeat or at ``max_iters``.  A lane whose initialization leaves a
-cluster empty, or whose class group empties during the alternation,
-draws a fresh initialization from its own stream, so every stream is
-consumed in the order of a lone run; the k-means++ draws stay sequential
-within each lane.  The training errors of all lanes come from one pass
-over the class means.  At most `LANE_BLOCK` lanes run at a time, which
-bounds the (lanes x p x groups) distance block and its one-hot on wide
-data.  `kmeans_rows`, `init_partition`, `update_centers`, `assign_rows`,
-`refine_partition` and `lloyd_fit` are the same kernels run on one lane.
+repeat or after `MAX_ITERS` steps.  A lane whose initialization leaves
+a cluster empty, or whose class group empties during the alternation,
+draws a fresh initialization from its own stream, up to `MAX_ATTEMPTS`
+attempts, so every stream is consumed in the order of a lone run; the
+k-means++ draws stay sequential within each lane.  The training errors
+of all lanes come from one pass over the class means.  At most
+`LANE_BLOCK` lanes run at a time, which bounds the (lanes x p x groups)
+distance block and its one-hot on wide data.  `init_partition`,
+`update_centers`, `assign_rows`, `refine_partition` and `lloyd_fit` are
+the same kernels run on one lane.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .classifier import compute_centroids, training_error, with_lambda
-from .data import FeaturePartition, LabeledDataset, class_index_sets, row_sq_norms, sq_distances
+from .data import FeaturePartition, LabeledDataset, class_blocks, row_sq_norms, sq_distances
 
 # Lanes fitted together.  At p = 20 000 features and k + 1 = 4 groups a
 # block's distance array and one-hot hold 8 * 20 000 * 4 float64 each,
@@ -55,50 +56,38 @@ from .data import FeaturePartition, LabeledDataset, class_index_sets, row_sq_nor
 # on sim 4 takes about 0.10 s at 8 lanes, 0.08 s at 16 and 0.06 s at 32,
 # one thread on a 2-vCPU x86 host) but grow that block in proportion.
 LANE_BLOCK = 8
+# Lloyd steps of one k-means or one alternation before a lane stops.
+MAX_ITERS = 100
+# Initializations one restart may draw before it counts as failed, each
+# tried after the previous one left a cluster or a class group empty.
+MAX_ATTEMPTS = 50
 
 
 class EmptyGroupError(ValueError):
     """A class group lost all its features; the run must restart."""
 
 
-class RestartsExhaustedError(RuntimeError):
-    """Every attempted run ended with an empty class group."""
-
-    def __init__(self, attempts: int):
-        super().__init__(f"gave up after {attempts} attempts that all produced an empty group")
-        self.attempts = attempts
-
-
 class FitFailedError(RuntimeError):
-    """No fit succeeded: all restarts of fit_best, or every candidate of a
-    nested-CV tuning grid, failed."""
+    """No fit succeeded: a restart of lloyd_fit, all restarts of fit_best,
+    or every candidate of a nested-CV tuning grid, failed."""
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the partition fit.
-
-    ``lam`` is the special-group distance multiplier; ``math.inf`` (the
-    default) disables feature selection.  ``max_restart_attempts_on_empty``
-    bounds how many fresh initializations one run may burn through when a
-    class group empties out.
+    """The partition fit's settings: the number of restarts, the
+    special-group distance multiplier ``lam`` (``math.inf``, the default,
+    disables feature selection) and the seed of the restart streams.
     """
 
     restarts: int = 100
-    max_iters: int = 100
     lam: float = math.inf
     seed: int = 0
-    max_restart_attempts_on_empty: int = 50
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if not (self.lam > 0):
             raise ValueError("lam must be positive (use math.inf for no selection)")
-        if self.max_restart_attempts_on_empty < 1:
-            raise ValueError("max_restart_attempts_on_empty must be >= 1")
 
     @property
     def with_selection(self) -> bool:
@@ -136,7 +125,7 @@ class FitData:
     @classmethod
     def of(cls, ds: LabeledDataset) -> "FitData":
         points = np.ascontiguousarray(ds.x.T)
-        class_x = tuple(ds.x[s] for s in class_index_sets(ds))
+        class_x = class_blocks(ds)
         return cls(points, row_sq_norms(points), class_x,
                    tuple(row_sq_norms(xs.T) for xs in class_x))
 
@@ -193,18 +182,18 @@ def _seed_lanes(points: np.ndarray, point_sq: np.ndarray, n_clusters: int,
     return centers
 
 
-def _lloyd_lanes(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray,
-                 max_iters: int) -> np.ndarray:
+def _lloyd_lanes(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Standard Lloyd iterations of every lane from its seeds.
 
     Returns the (lanes x n_points) labels.  A lane stops when its labels
-    repeat; an emptied cluster keeps its previous center.
+    repeat or after `MAX_ITERS` steps; an emptied cluster keeps its
+    previous center.
     """
     n_clusters, dim = centers.shape[1:]
     labels = np.empty((len(centers), len(points)), dtype=np.intp)
     live = np.arange(len(centers))
     current = None
-    for it in range(max_iters):
+    for it in range(MAX_ITERS):
         flat = centers.reshape(-1, dim)
         dist = sq_distances(points, point_sq, flat, row_sq_norms(flat))
         new = dist.reshape(len(points), len(live), n_clusters).argmin(axis=2).T
@@ -212,7 +201,7 @@ def _lloyd_lanes(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray,
         if current is not None:
             moved = (new != current).any(axis=1)
             live, new, centers = live[moved], new[moved], centers[moved]
-        if not len(live) or it == max_iters - 1:
+        if not len(live) or it == MAX_ITERS - 1:
             break
         onehot = _onehot(new, n_clusters)
         sizes = onehot.sum(axis=2)[:, :, None]
@@ -230,7 +219,7 @@ def _init_lanes(fit_data: FitData, n_groups: int, has_special: bool,
     before it move up by one.  Returns ``(labels, ok)``; ``ok`` is False
     in a lane whose k-means left a cluster empty."""
     centers = _seed_lanes(fit_data.points, fit_data.point_sq, n_groups, streams)
-    labels = _lloyd_lanes(fit_data.points, fit_data.point_sq, centers, max_iters=100)
+    labels = _lloyd_lanes(fit_data.points, fit_data.point_sq, centers)
     sizes = _group_sizes(labels, n_groups)
     if has_special:
         special = sizes.argmax(axis=1)[:, None]
@@ -278,14 +267,14 @@ def _lane_distances(fit_data: FitData, special: np.ndarray | None,
     return dist
 
 
-def _refine_lanes(fit_data: FitData, labels: np.ndarray, lam: float, has_special: bool,
-                  max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _refine_lanes(fit_data: FitData, labels: np.ndarray, lam: float,
+                  has_special: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The adapted alternation of every lane from its (lanes x p) labels,
     group 0 being the special group when ``has_special``.
 
     Each step recomputes the centers and reassigns every feature to its
     nearest one, ties to the smallest group index.  A lane leaves when its
-    labels repeat, at ``max_iters``, or when a class group empties.
+    labels repeat, after `MAX_ITERS` steps, or when a class group empties.
     Returns ``(labels, iterations, emptied)`` per lane.
     """
     n_groups = len(fit_data.class_x) + has_special
@@ -293,7 +282,7 @@ def _refine_lanes(fit_data: FitData, labels: np.ndarray, lam: float, has_special
     iterations = np.zeros(len(labels), dtype=np.intp)
     emptied = np.zeros(len(labels), dtype=bool)
     live, current = np.arange(len(labels)), labels
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         if not len(live):
             break
         special, classes = _lane_centers(fit_data, current, has_special)
@@ -314,22 +303,21 @@ def _fit_lanes(fit_data: FitData, config: FitConfig,
     Each round gives every pending lane one attempt: an initialization
     drawn from its own stream, then the alternation.  A lane whose
     initialization leaves a cluster empty or whose class group empties
-    stays pending, up to ``config.max_restart_attempts_on_empty``
-    attempts.  Returns ``(labels, fitted)``: the (lanes x p) final labels
-    and whether each lane produced a partition.
+    stays pending, up to `MAX_ATTEMPTS` attempts.  Returns
+    ``(labels, fitted)``: the (lanes x p) final labels and whether each
+    lane produced a partition.
     """
     has_special = config.with_selection
     n_groups = len(fit_data.class_x) + has_special
     labels = np.zeros((len(streams), len(fit_data.points)), dtype=np.intp)
     fitted = np.zeros(len(streams), dtype=bool)
     pending = np.arange(len(streams))
-    for _ in range(config.max_restart_attempts_on_empty):
+    for _ in range(MAX_ATTEMPTS):
         if not len(pending):
             break
         start, seeded = _init_lanes(fit_data, n_groups, has_special,
                                     [streams[lane] for lane in pending])
-        refined, _, emptied = _refine_lanes(fit_data, start[seeded], config.lam,
-                                            has_special, config.max_iters)
+        refined, _, emptied = _refine_lanes(fit_data, start[seeded], config.lam, has_special)
         done = pending[seeded][~emptied]
         labels[done] = refined[~emptied]
         fitted[done] = True
@@ -353,17 +341,6 @@ def _lane_errors(ds: LabeledDataset, fit_data: FitData, labels: np.ndarray,
         member = onehot[:, j + offset]
         scores[j] = np.square(ds.x - xs.mean(axis=0)) @ member.T / member.sum(axis=1)
     return (scores.argmin(axis=0) + 1 != ds.labels[:, None]).mean(axis=0)
-
-
-def kmeans_rows(points: np.ndarray, n_clusters: int, rng: np.random.Generator,
-                max_iters: int = 100) -> np.ndarray:
-    """Standard Euclidean k-means (k-means++ seeding, Lloyd iterations).
-
-    Returns the cluster label of each row; clusters may come out empty.
-    """
-    point_sq = row_sq_norms(points)
-    centers = _seed_lanes(points, point_sq, n_clusters, [rng])
-    return _lloyd_lanes(points, point_sq, centers, max_iters)[0]
 
 
 def init_partition(ds: LabeledDataset, n_groups: int,
@@ -436,22 +413,22 @@ def clustering_objective(ds: LabeledDataset, part: FeaturePartition) -> float:
         m0 = centers.centers[0]
         total += np.square(ds.x[:, part.special] - m0[:, None]).mean(axis=0).sum()
     offset = 1 if part.has_special else 0
-    for j, (g, s) in enumerate(zip(part.class_groups, class_index_sets(ds))):
+    for j, (g, xs) in enumerate(zip(part.class_groups, class_blocks(ds))):
         m = centers.centers[j + offset]
-        total += np.square(ds.x[np.ix_(s, g)] - m[:, None]).mean(axis=0).sum()
+        total += np.square(xs.take(g, axis=1) - m[:, None]).mean(axis=0).sum()
     return float(total)
 
 
 def refine_partition(ds: LabeledDataset, part: FeaturePartition, config: FitConfig):
     """Run the update/assign alternation from ``part`` until the partition
-    repeats or ``max_iters`` is hit.
+    repeats or `MAX_ITERS` steps have run.
 
     Returns ``(partition, iterations)``; raises EmptyGroupError if a
     class group empties (the caller restarts from a fresh initialization).
     """
     _check_class_groups(part)
     labels, iterations, emptied = _refine_lanes(FitData.of(ds), _labels(part, ds.p)[None],
-                                                config.lam, part.has_special, config.max_iters)
+                                                config.lam, part.has_special)
     if emptied[0]:
         raise EmptyGroupError("empty class group during alternation")
     return _partition(labels[0], len(part.groups), part.has_special), int(iterations[0])
@@ -461,12 +438,13 @@ def lloyd_fit(ds: LabeledDataset, config: FitConfig,
               rng: np.random.Generator) -> FeaturePartition:
     """One full run: initialize, then alternate to convergence.
 
-    Runs that hit an empty group are abandoned and re-initialized, up to
-    ``config.max_restart_attempts_on_empty`` total attempts.
+    Runs that hit an empty group are abandoned and re-initialized; after
+    `MAX_ATTEMPTS` attempts it raises FitFailedError.
     """
     labels, fitted = _fit_lanes(FitData.of(ds), config, [rng])
     if not fitted[0]:
-        raise RestartsExhaustedError(config.max_restart_attempts_on_empty)
+        raise FitFailedError(f"gave up after {MAX_ATTEMPTS} attempts "
+                             "that all produced an empty group")
     return _partition(labels[0], ds.k + config.with_selection, config.with_selection)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .classifier import NdcModel, compute_centroids, empirical_risk
-from .data import FeaturePartition, LabeledDataset, class_index_sets
+from .data import FeaturePartition, LabeledDataset, class_blocks
 from .kmeans import FitConfig, fit_best
 
 ENUMERATION_GUARD = 10_000_000
@@ -47,6 +47,8 @@ class BlockDistributionSpec:
             raise ValueError("one row of means/sds per class")
         if np.any(probs <= 0) or abs(probs.sum() - 1.0) > 1e-9:
             raise ValueError("class probabilities must be positive and sum to 1")
+        if not (np.isfinite(means).all() and np.isfinite(sds).all()):
+            raise ValueError("means and standard deviations must be finite")
         if np.any(sds < 0):
             raise ValueError("standard deviations must be non-negative")
         object.__setattr__(self, "class_probs", probs)
@@ -68,6 +70,8 @@ def block_spec(k: int, d: int, sigma1: float, sigma2: float,
     """Spec with k successive feature blocks of width d: a class's own
     block has sd ``sigma1`` and mean ``mu1``, everything else ``sigma2``
     and ``mu2``."""
+    if k < 1 or d < 1:
+        raise ValueError(f"need k >= 1 classes and block width d >= 1, got k={k}, d={d}")
     p = k * d
     means = np.full((k, p), mu2)
     sds = np.full((k, p), sigma2)
@@ -146,8 +150,7 @@ def brute_force_minimizer(ds: LabeledDataset) -> tuple[FeaturePartition, float]:
     divided by n; the returned risk is recomputed from the winner's
     centroids.
     """
-    wss = np.stack([np.square(ds.x[s] - ds.x[s].mean(axis=0)).sum(axis=0)
-                    for s in class_index_sets(ds)])
+    wss = np.stack([np.square(xs - xs.mean(axis=0)).sum(axis=0) for xs in class_blocks(ds)])
     part = _first_minimum(_scored_assignments(wss / ds.n), ds.k)
     return part, empirical_risk(ds, compute_centroids(ds, part))
 
@@ -203,9 +206,13 @@ def check_diagonal_optimality(spec: BlockDistributionSpec, d: int) -> DiagonalOp
     population risk when the own-block variance is the smaller one.
 
     The spec must have the successive-equal-blocks shape produced by
-    `block_spec`; anything else raises ValueError.
+    `block_spec`, with at least two classes; anything else raises
+    ValueError.
     """
     k, p = spec.k, spec.p
+    if k < 2:
+        raise ValueError(f"the diagonal check needs k >= 2 classes, got k={k}: "
+                         "one class has no off-block entries")
     if p != k * d:
         raise ValueError(f"expected p = k*d = {k * d}, got {p}")
     sigma1 = sigma2 = None
@@ -257,14 +264,14 @@ def check_diagonal_optimality(spec: BlockDistributionSpec, d: int) -> DiagonalOp
                            n_strictly_better=n_better, n_tied=n_tied, reason=reason)
 
 
-def sample_dataset(spec: BlockDistributionSpec, n: int, rng: np.random.Generator,
-                   max_label_redraws: int = 100) -> LabeledDataset:
+def sample_dataset(spec: BlockDistributionSpec, n: int,
+                   rng: np.random.Generator) -> LabeledDataset:
     """Draw n labeled rows from the spec.  Label vectors missing a class
-    are redrawn so the result is a valid dataset (only a concern for
-    tiny n)."""
+    are redrawn, up to 100 times, so the result is a valid dataset (only
+    a concern for tiny n)."""
     if n < spec.k:
         raise ValueError("need at least one row per class")
-    for _ in range(max_label_redraws):
+    for _ in range(100):
         labels = rng.choice(spec.k, size=n, p=spec.class_probs) + 1
         if len(np.unique(labels)) == spec.k:
             break
@@ -314,21 +321,26 @@ def consistency_experiment(spec: BlockDistributionSpec, n_grid, reps: int,
     """
     if fitter not in ("lloyd", "exact"):
         raise ValueError("fitter must be 'lloyd' or 'exact'")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    n_grid = [int(n) for n in n_grid]
+    if not n_grid:
+        raise ValueError("n_grid must hold at least one sample size")
     _, w_star = optimal_population_risk(spec)
     rows = []
     for n in n_grid:
         for rep in range(reps):
-            data_rng = rngmod.generator(seed, "n", int(n), "rep", rep, "data")
-            ds = sample_dataset(spec, int(n), data_rng)
+            data_rng = rngmod.generator(seed, "n", n, "rep", rep, "data")
+            ds = sample_dataset(spec, n, data_rng)
             if fitter == "exact":
                 part, _ = brute_force_minimizer(ds)
                 model = compute_centroids(ds, part)
             else:
                 config = FitConfig(restarts=fit_restarts,
-                                   seed=rngmod.child_seed(seed, "n", int(n), "rep", rep, "fit"))
+                                   seed=rngmod.child_seed(seed, "n", n, "rep", rep, "fit"))
                 _, model, _ = fit_best(ds, config)
             risk = population_risk(model, spec)
-            rows.append(ConsistencyRow(n=int(n), rep=rep,
+            rows.append(ConsistencyRow(n=n, rep=rep,
                                        fitted_population_risk=risk,
                                        w_star=w_star, gap=float(risk - w_star)))
     return ConsistencyResult(w_star=w_star, rows=tuple(rows))

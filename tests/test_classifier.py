@@ -121,6 +121,29 @@ def test_centroids_minimize_risk_for_fixed_partition():
             assert empirical_risk(ds, perturbed) >= base
 
 
+def test_row_blocks_match_index_gathers():
+    # the reference gathers each class's rows and group's columns with
+    # np.ix_, as the centroids and the risk once did; the class row blocks
+    # hold the same entries in the same order, so results are exactly equal
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        base = random_dataset(rng)
+        order = rng.permutation(base.n)
+        ds = LabeledDataset.from_arrays(base.x[order], base.labels[order], k=base.k)
+        has_special = ds.p > ds.k and bool(rng.integers(2))
+        n_groups = ds.k + has_special
+        assignment = rng.permutation(np.arange(ds.p) % n_groups)
+        part = FeaturePartition(tuple(np.flatnonzero(assignment == j) for j in range(n_groups)),
+                                has_special=has_special)
+        model = compute_centroids(ds, part)
+        rows = [np.flatnonzero(ds.labels == j) for j in range(1, ds.k + 1)]
+        total = 0.0
+        for s, g, c in zip(rows, part.class_groups, model.centroids):
+            np.testing.assert_array_equal(c, ds.x[np.ix_(s, g)].mean(axis=0))
+            total += np.square(ds.x[np.ix_(s, g)] - c).mean(axis=1).sum()
+        assert empirical_risk(ds, model) == float(total) / ds.n
+
+
 def test_common_scaling_scales_risk_and_keeps_predictions():
     rng = np.random.default_rng(8)
     for scale in (0.5, 3.0, 17.0):

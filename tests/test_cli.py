@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ndc
 from ndc.classifier import compute_centroids, save_model, with_lambda
 from ndc.cli import main
 from ndc.data import FeaturePartition, LabeledDataset, read_labeled_csv, write_labeled_csv
@@ -246,6 +249,24 @@ def test_oracle_guard_exit_2(tmp_path):
     assert main(["oracle", "--data", str(big)]) == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--corollary", "--k", "0"], "need k >= 1 classes and block width d >= 1, got k=0"),
+    (["--corollary", "--d", "0"], "need k >= 1 classes and block width d >= 1, got k=2, d=0"),
+    (["--consistency", "--d", "0"], "need k >= 1 classes and block width d >= 1, got k=2, d=0"),
+    (["--consistency", "--reps", "0"], "reps must be >= 1, got 0"),
+    (["--consistency", "--reps", "-3"], "reps must be >= 1, got -3"),
+    (["--consistency", "--n-grid", ","], "n_grid must hold at least one sample size"),
+    (["--corollary", "--k", "1"], "the diagonal check needs k >= 2 classes, got k=1"),
+    (["--consistency", "--sigma1", "inf"], "means and standard deviations must be finite"),
+    (["--corollary", "--mu2", "nan"], "means and standard deviations must be finite"),
+])
+def test_oracle_bad_shape_exit_2(capsys, args, message):
+    assert main(["oracle", *args]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_oracle_consistency_tsv(capsys):
     code = main(["oracle", "--consistency", "--k", "2", "--d", "2",
                  "--sigma1", "1", "--sigma2", "2", "--n-grid", "30",
@@ -257,8 +278,10 @@ def test_oracle_consistency_tsv(capsys):
 
 
 def test_console_entry_point(toy_csv):
+    # the child interpreter imports the same ndc sources as this test
+    env = {**os.environ, "PYTHONPATH": str(Path(ndc.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "ndc.cli", "oracle",
                            "--data", str(toy_csv)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "W*: 0.0" in proc.stdout

@@ -5,7 +5,7 @@ from ndc.data import (
     CsvFormatError,
     FeaturePartition,
     LabeledDataset,
-    class_index_sets,
+    class_blocks,
     dn_norm_sq,
     read_feature_csv,
     read_labeled_csv,
@@ -40,30 +40,29 @@ def test_dn_norm_permutation_invariant():
         assert dn_norm_sq(rng.permutation(v)) == pytest.approx(dn_norm_sq(v), rel=1e-12)
 
 
-def test_class_index_sets_examples():
+def test_class_blocks_examples():
     ds = LabeledDataset.from_arrays(np.zeros((4, 4)) + np.eye(4), [1, 2, 1, 2])
-    sets = class_index_sets(ds)
-    assert sets[0].tolist() == [0, 2]
-    assert sets[1].tolist() == [1, 3]
+    blocks = class_blocks(ds)
+    assert blocks[0].tolist() == [[1, 0, 0, 0], [0, 0, 1, 0]]
+    assert blocks[1].tolist() == [[0, 1, 0, 0], [0, 0, 0, 1]]
 
     ds1 = LabeledDataset.from_arrays(np.ones((3, 3)), [1, 1, 1])
-    assert class_index_sets(ds1)[0].tolist() == [0, 1, 2]
+    assert class_blocks(ds1)[0].tolist() == [[1, 1, 1]] * 3
 
     ds2 = LabeledDataset.from_arrays(np.eye(3), [2, 2, 1])
-    sets = class_index_sets(ds2)
-    assert sets[0].tolist() == [2]
-    assert sets[1].tolist() == [0, 1]
+    blocks = class_blocks(ds2)
+    assert blocks[0].tolist() == [[0, 0, 1]]
+    assert blocks[1].tolist() == [[1, 0, 0], [0, 1, 0]]
 
 
-def test_class_index_sets_partition_rows():
+def test_class_blocks_partition_rows():
+    # every row lands in its class's block once, in its original order
     rng = np.random.default_rng(3)
     labels = rng.integers(1, 4, size=60)
     labels[:3] = [1, 2, 3]
     ds = LabeledDataset.from_arrays(rng.normal(size=(60, 5)), labels)
-    sets = class_index_sets(ds)
-    joined = np.concatenate(sets)
-    assert len(joined) == 60
-    assert len(np.unique(joined)) == 60
+    joined = np.concatenate(class_blocks(ds))
+    np.testing.assert_array_equal(joined, ds.x[np.argsort(labels, kind="stable")])
 
 
 def test_missing_class_rejected():

@@ -39,15 +39,6 @@ def test_k_fold_balanced_dealing():
         assert sorted(ds.labels[test].tolist()) == [1, 2]
 
 
-def test_k_fold_leave_one_out_unstratified():
-    ds = LabeledDataset.from_arrays(np.arange(10.0).reshape(5, 2),
-                                    [1, 1, 2, 2, 2])
-    splits = k_fold_split(ds, CvConfig(folds=5, stratified=False, seed=1))
-    tests = sorted(int(t[0]) for _, t in splits)
-    assert tests == [0, 1, 2, 3, 4]
-    assert all(len(t) == 1 and len(tr) == 4 for tr, t in splits)
-
-
 def test_k_fold_disjoint_covering_and_deterministic():
     rng = np.random.default_rng(50)
     ds = random_dataset(rng, k=3, p=4, n_per_class=7)

@@ -16,14 +16,15 @@ from conftest import block_dataset, random_dataset
 from ndc import rng as rngmod
 from ndc.baselines import knn_fit, knn_predict_many
 from ndc.classifier import compute_centroids, predict_many
-from ndc.data import FeaturePartition, LabeledDataset
+from ndc.data import FeaturePartition, LabeledDataset, row_sq_norms
 from ndc.kmeans import (
     ClusterCenters,
     FitData,
     _dn_distances,
+    _lloyd_lanes,
+    _seed_lanes,
     assign_rows,
     init_partition,
-    kmeans_rows,
     update_centers,
 )
 
@@ -121,14 +122,16 @@ def test_knn_ties_at_the_mth_distance_match_stable_sort():
                                           ref_knn_predict_many(model, probes))
 
 
-def test_kmeans_rows_labels_match_reference():
+def test_kmeans_lanes_match_reference():
     rng = np.random.default_rng(103)
     for trial in range(12):
         ds = block_dataset(rng, k=3, n_per_class=int(rng.integers(5, 40)),
                            d=int(rng.integers(2, 6)), sigma2=1.8, r=int(rng.integers(0, 8)))
         points = np.ascontiguousarray(ds.x.T)
+        point_sq = row_sq_norms(points)
         n_clusters = int(rng.integers(1, min(6, len(points)) + 1))
-        got = kmeans_rows(points, n_clusters, rngmod.generator(trial, "km"))
+        seeds = _seed_lanes(points, point_sq, n_clusters, [rngmod.generator(trial, "km")])
+        got = _lloyd_lanes(points, point_sq, seeds)[0]
         want = ref_kmeans_rows(points, n_clusters, rngmod.generator(trial, "km"))
         np.testing.assert_array_equal(got, want)
 
