@@ -29,7 +29,11 @@ MODEL_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class NdcModel:
-    """A fitted partition plus per-class centroids on their own features."""
+    """A fitted partition plus per-class centroids on their own features.
+
+    ``lambda_used`` is the special-group multiplier of the fit, or None
+    without feature selection; an infinite multiplier is stored as None.
+    """
 
     partition: FeaturePartition
     centroids: tuple[np.ndarray, ...]
@@ -38,6 +42,8 @@ class NdcModel:
     lambda_used: float | None = None
 
     def __post_init__(self):
+        if self.lambda_used is not None and math.isinf(self.lambda_used):
+            object.__setattr__(self, "lambda_used", None)
         groups = self.partition.class_groups
         if len(groups) != self.k or len(self.centroids) != self.k:
             raise ValueError("need one feature group and one centroid per class")
@@ -70,8 +76,6 @@ def compute_centroids(ds: LabeledDataset, part: FeaturePartition) -> NdcModel:
 def with_lambda(model: NdcModel, lam: float | None) -> NdcModel:
     """Record the multiplier the model was fitted with (None or infinity
     both mean no feature selection was in play)."""
-    if lam is not None and math.isinf(lam):
-        lam = None
     return replace(model, lambda_used=lam)
 
 
@@ -123,7 +127,7 @@ def save_model(model: NdcModel, path) -> None:
         "centroids": centroids,
     }
     if model.lambda_used is not None:
-        doc["lambda"] = "inf" if math.isinf(model.lambda_used) else model.lambda_used
+        doc["lambda"] = model.lambda_used
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -54,6 +54,15 @@ def _parse_lambda(text: str) -> float:
     return value
 
 
+def _one_mode(flags: dict[str, bool]) -> str:
+    """The one flag of ``flags`` that is set; CliError when none or several are."""
+    chosen = [name for name, on in flags.items() if on]
+    if len(chosen) != 1:
+        raise CliError(f"need exactly one of {', '.join(flags)}"
+                       + (f", got {' and '.join(chosen)}" if chosen else ""))
+    return chosen[0]
+
+
 def cmd_simulate(args) -> int:
     config = preset(args.sim, args.level, args.r if args.sim == 4 else args.d)
     train = generate(config, rngmod.generator(args.seed, "simulate", "train"))
@@ -99,14 +108,14 @@ def cmd_benchmark(args) -> int:
     classifiers = [c for c in args.classifiers.split(",") if c]
     options = HarnessOptions(tune_restarts=args.tune_restarts,
                              final_restarts=args.restarts)
-    if args.data is not None:
+    if _one_mode({"--data": args.data is not None, "--sim": args.sim is not None}) == "--data":
         ds = read_labeled_csv(args.data, label_col=args.label_col)
         cv = CvConfig(folds=args.folds, seed=args.seed)
         report = run_cv_benchmark(ds, classifiers, cv, options=options,
                                   setting=str(args.data))
     else:
-        if args.sim is None or args.level is None:
-            raise CliError("need either --data or --sim with --level")
+        if args.level is None:
+            raise CliError("--sim needs --level")
         d_or_r = args.r if args.sim == 4 else args.d
         if d_or_r is None:
             raise CliError("--d is required for sims 1-3, --r for sim 4")
@@ -122,14 +131,16 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.corollary:
+    mode = _one_mode({"--data": args.data is not None, "--corollary": args.corollary,
+                      "--consistency": args.consistency})
+    if mode == "--corollary":
         spec = block_spec(args.k, args.d, args.sigma1, args.sigma2,
                           mu1=args.mu1, mu2=args.mu2)
         report = check_diagonal_optimality(spec, args.d)
         print(f"{'PASS' if report.passed else 'FAIL'}: {report.reason}")
         print(f"diagonal risk {report.diagonal_risk!r}, best risk {report.best_risk!r}")
         return 0
-    if args.consistency:
+    if mode == "--consistency":
         spec = block_spec(args.k, args.d, args.sigma1, args.sigma2,
                           mu1=args.mu1, mu2=args.mu2)
         n_grid = [int(v) for v in args.n_grid.split(",") if v]
@@ -140,8 +151,6 @@ def cmd_oracle(args) -> int:
         for n in n_grid:
             print(f"# mean gap at n={n}: {result.mean_gap(n)!r}")
         return 0
-    if args.data is None:
-        raise CliError("need --data, --corollary, or --consistency")
     ds = read_labeled_csv(args.data, label_col=args.label_col)
     part, w_star = brute_force_minimizer(ds)
     for j, group in enumerate(part.groups_1based(), start=1):

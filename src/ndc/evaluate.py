@@ -132,26 +132,32 @@ def _tune(train: LabeledDataset, grid, cv: CvConfig, stream: str, what: str,
           fit) -> tuple[float, dict[float, float]]:
     """Pick the grid value with the lowest nested-CV misclassification.
 
-    The `NESTED_FOLDS` nested folds are drawn from ``cv.seed``'s child
-    ``stream``.
+    An empty grid raises ValueError, and a single value is returned
+    without fitting (its error as NaN).  The `NESTED_FOLDS` nested folds
+    are drawn from ``cv.seed``'s child ``stream``; each fold's training
+    set is built once and shared by every candidate.
     ``fit(data, i, f, seed)`` fits candidate ``grid[i]`` on the training
     part of nested fold ``f`` (``seed`` being the nested folds' seed) and
     returns a function that labels rows.  A candidate whose fits fail on
     every nested fold is skipped; ties go to the largest value.
     """
+    grid = tuple(grid)
+    if not grid:
+        raise ValueError(f"empty {what} grid")
+    if len(grid) == 1:
+        return grid[0], {grid[0]: float("nan")}
     nested = CvConfig(folds=NESTED_FOLDS, seed=rngmod.child_seed(cv.seed, stream))
-    splits = k_fold_split(train, nested)
-    mean_errors: dict[float, float] = {}
-    for i, value in enumerate(grid):
-        fold_errors = []
-        for f, (tr, va) in enumerate(splits):
+    fold_errors = [[] for _ in grid]
+    for f, (tr, va) in enumerate(k_fold_split(train, nested)):
+        data = _subset(train, tr)
+        for i, errors in enumerate(fold_errors):
             try:
-                predict = fit(_subset(train, tr), i, f, nested.seed)
+                predict = fit(data, i, f, nested.seed)
             except _FIT_FAILURES:
                 continue
-            fold_errors.append(misclassification_rate(predict(train.x[va]), train.labels[va]))
-        if fold_errors:
-            mean_errors[value] = float(np.mean(fold_errors))
+            errors.append(misclassification_rate(predict(train.x[va]), train.labels[va]))
+    mean_errors = {value: float(np.mean(errors))
+                   for value, errors in zip(grid, fold_errors) if errors}
     if not mean_errors:
         raise FitFailedError(f"every {what} candidate failed all nested fits")
     best_err = min(mean_errors.values())
@@ -167,10 +173,6 @@ def tune_lambda(train: LabeledDataset, grid, cv: CvConfig,
     to the largest multiplier (feature selection is sacrificed last).
     """
     grid = tuple(grid)
-    if not grid:
-        raise ValueError("empty multiplier grid")
-    if len(grid) == 1:
-        return grid[0], {grid[0]: float("nan")}
 
     def fit(data, i, f, nested_seed):
         config = FitConfig(restarts=restarts, lam=grid[i],
@@ -404,7 +406,9 @@ def run_simulation_benchmark(sim_id: int, level: float, d_or_r: int, reps: int,
     jobs = [(sim_id, level, d_or_r, rep, names, seed, options) for rep in range(reps)]
     if threads is None:
         threads = os.cpu_count() or 1
-    if threads > 1 and reps > 1:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads > 1:
         per_rep = _map_in_workers(_sim_rep, jobs, min(threads, reps))
     else:
         per_rep = [_sim_rep(job) for job in jobs]

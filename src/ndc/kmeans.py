@@ -23,20 +23,23 @@ ultimately judged by is only targeted heuristically, which is why
 partition with the lowest training error.
 
 `fit_best` runs its restarts in lockstep.  Each restart is a lane: one
-row of a (lanes x p) label matrix, holding every feature's group.  A
-Lloyd step of all live lanes is one Gram product for the distances and
-one one-hot product for the centers, so the Python work per step does
-not grow with the number of restarts.  A lane leaves when its labels
-repeat or after `MAX_ITERS` steps.  A lane whose initialization leaves
-a cluster empty, or whose class group empties during the alternation,
-draws a fresh initialization from its own stream, up to `MAX_ATTEMPTS`
-attempts, so every stream is consumed in the order of a lone run; the
-k-means++ draws stay sequential within each lane.  The training errors
-of all lanes come from one pass over the class means.  At most
-`LANE_BLOCK` lanes run at a time, which bounds the (lanes x p x groups)
-distance block and its one-hot on wide data.  `init_partition`,
-`update_centers`, `assign_rows`, `refine_partition` and `lloyd_fit` are
-the same kernels run on one lane.
+row of a (lanes x p) label matrix, holding every feature's group.  Every
+lane has k + 1 groups: group 0 is I_0 and group j is class j's.  At
+``lam = inf`` group 0's distance is inf, so it stays empty and the lane
+is the no-selection fit.  A Lloyd step of all live lanes is one Gram
+product for the distances and one one-hot product for the centers, so
+the Python work per step does not grow with the number of restarts.  A
+lane leaves when its labels repeat or after `MAX_ITERS` steps.  A lane
+whose initialization leaves a cluster empty, or whose class group
+empties during the alternation, draws a fresh initialization from its
+own stream, up to `MAX_ATTEMPTS` attempts, so every stream is consumed
+in the order of a lone run.  The training errors of all lanes come from
+one pass over the class means.  At most `LANE_BLOCK` lanes run at a
+time, which bounds the (lanes x p x groups) distance block and its
+one-hot on wide data.  `init_partition`, `update_centers`,
+`assign_rows`, `refine_partition` and `lloyd_fit` run the same kernels
+on one lane; they and `fit_best` alone convert between the lane layout
+and the k- or (k + 1)-group `FeaturePartition` and `ClusterCenters`.
 """
 
 from __future__ import annotations
@@ -130,29 +133,32 @@ class FitData:
                    tuple(row_sq_norms(xs.T) for xs in class_x))
 
 
-def _onehot(labels: np.ndarray, n_groups: int) -> np.ndarray:
-    """The (lanes x groups x p) 0/1 indicator of each lane's groups."""
-    return (labels[:, None, :] == np.arange(n_groups)[:, None]).astype(np.float64)
+def _onehot(labels: np.ndarray, n_labels: int) -> np.ndarray:
+    """The (lanes x labels x p) 0/1 indicator of each lane's labels."""
+    return (labels[:, None, :] == np.arange(n_labels)[:, None]).astype(np.float64)
 
 
-def _group_sizes(labels: np.ndarray, n_groups: int) -> np.ndarray:
-    """The (lanes x groups) member counts of each lane's groups."""
+def _group_sizes(labels: np.ndarray, n_labels: int) -> np.ndarray:
+    """The (lanes x labels) member counts of each lane's labels."""
     lanes = len(labels)
-    flat = (labels + n_groups * np.arange(lanes)[:, None]).ravel()
-    return np.bincount(flat, minlength=lanes * n_groups).reshape(lanes, n_groups)
+    flat = (labels + n_labels * np.arange(lanes)[:, None]).ravel()
+    return np.bincount(flat, minlength=lanes * n_labels).reshape(lanes, n_labels)
 
 
 def _labels(part: FeaturePartition, p: int) -> np.ndarray:
     """One lane's label row: the group index of every feature (-1 for a
-    feature in no group)."""
+    feature in no group).  Class j's group is index j whether or not the
+    partition carries the special group."""
     labels = np.full(p, -1, dtype=np.intp)
-    for j, g in enumerate(part.groups):
+    for j, g in enumerate(part.groups, start=int(not part.has_special)):
         labels[g] = j
     return labels
 
 
-def _partition(labels: np.ndarray, n_groups: int, has_special: bool) -> FeaturePartition:
-    return FeaturePartition(tuple(np.flatnonzero(labels == j) for j in range(n_groups)),
+def _partition(labels: np.ndarray, k: int, has_special: bool) -> FeaturePartition:
+    """One lane's label row as a partition; group 0 is dropped without ``has_special``."""
+    return FeaturePartition(tuple(np.flatnonzero(labels == j)
+                                  for j in range(int(not has_special), k + 1)),
                             has_special=has_special)
 
 
@@ -211,37 +217,39 @@ def _lloyd_lanes(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray) 
     return labels
 
 
-def _init_lanes(fit_data: FitData, n_groups: int, has_special: bool,
+def _init_lanes(fit_data: FitData, selection: bool,
                 streams: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
     """One initialization attempt per lane: k-means over the transposed
-    matrix.  With the special group, each lane's most populated cluster
-    becomes group 0 (ties to the smallest cluster index) and the clusters
-    before it move up by one.  Returns ``(labels, ok)``; ``ok`` is False
-    in a lane whose k-means left a cluster empty."""
-    centers = _seed_lanes(fit_data.points, fit_data.point_sq, n_groups, streams)
+    matrix into k clusters, or k + 1 with ``selection``.  Without
+    selection cluster c becomes group c + 1 and group 0 stays empty; with
+    it each lane's most populated cluster becomes group 0 (ties to the
+    smallest cluster index) and the clusters before it move up by one.
+    Returns ``(labels, ok)``; ``ok`` is False in a lane whose k-means left
+    a cluster empty."""
+    n_clusters = len(fit_data.class_x) + selection
+    centers = _seed_lanes(fit_data.points, fit_data.point_sq, n_clusters, streams)
     labels = _lloyd_lanes(fit_data.points, fit_data.point_sq, centers)
-    sizes = _group_sizes(labels, n_groups)
-    if has_special:
-        special = sizes.argmax(axis=1)[:, None]
-        labels = np.where(labels == special, 0, labels + (labels < special))
+    sizes = _group_sizes(labels, n_clusters)
+    # no label equals n_clusters, so without selection every cluster moves up
+    special = sizes.argmax(axis=1)[:, None] if selection else n_clusters
+    labels = np.where(labels == special, 0, labels + (labels < special))
     return labels, sizes.min(axis=1) > 0
 
 
-def _lane_centers(fit_data: FitData, labels: np.ndarray, has_special: bool):
+def _lane_centers(fit_data: FitData, labels: np.ndarray):
     """Every lane's alternation centers, as one-hot products.
 
-    Returns ``(special, classes)``.  ``classes[j]`` is the (n_j x lanes)
-    matrix of class j + 1's centers on its rows.  ``special`` is the
+    Returns ``(special, classes)``.  ``classes[j - 1]`` is the (n_j x
+    lanes) matrix of class j's centers on its rows.  ``special`` is the
     (n x lanes) matrix of m_0 on all rows, NaN in a lane whose I_0 is
-    empty, or None without the special group.
+    empty, or None when I_0 is empty in every lane.
     """
-    offset = int(has_special)
-    onehot = _onehot(labels, len(fit_data.class_x) + offset)
+    onehot = _onehot(labels, len(fit_data.class_x) + 1)
     sizes = onehot.sum(axis=2)
-    classes = tuple(xs @ onehot[:, j + offset].T / sizes[:, j + offset]
-                    for j, xs in enumerate(fit_data.class_x))
+    classes = tuple(xs @ onehot[:, j].T / sizes[:, j]
+                    for j, xs in enumerate(fit_data.class_x, start=1))
     special = None
-    if has_special:
+    if sizes[:, 0].any():
         sums = fit_data.points.T @ onehot[:, 0].T
         special = np.divide(sums, sizes[:, 0], out=np.full_like(sums, np.nan),
                             where=sizes[:, 0] > 0)
@@ -253,31 +261,28 @@ def _lane_distances(fit_data: FitData, special: np.ndarray | None,
     """The (groups x p x lanes) dn-distances that the assign step
     minimizes over: each feature's distance to each lane's centers on
     their rows.  The special row is scaled by ``lam`` and is inf where
-    ``lam`` is inf or the lane's m_0 is absent (NaN)."""
-    offset = int(special is not None)
-    dist = np.full((len(classes) + offset, len(fit_data.points), classes[0].shape[1]), np.inf)
+    ``lam`` is inf or the lane's m_0 is absent (None or NaN)."""
+    dist = np.full((len(classes) + 1, len(fit_data.points), classes[0].shape[1]), np.inf)
     if special is not None and not math.isinf(lam):
         present = ~np.isnan(special[0])
         m0 = special[:, present].T
         d2 = sq_distances(fit_data.points, fit_data.point_sq, m0, row_sq_norms(m0))
         dist[0][:, present] = lam * np.sqrt(d2 / len(special))
-    for j, (xs, xs_sq, m) in enumerate(zip(fit_data.class_x, fit_data.class_sq, classes)):
-        d2 = sq_distances(xs.T, xs_sq, m.T, row_sq_norms(m.T))
-        dist[j + offset] = np.sqrt(d2 / len(m))
+    for d, xs, xs_sq, m in zip(dist[1:], fit_data.class_x, fit_data.class_sq, classes):
+        d[:] = np.sqrt(sq_distances(xs.T, xs_sq, m.T, row_sq_norms(m.T)) / len(m))
     return dist
 
 
-def _refine_lanes(fit_data: FitData, labels: np.ndarray, lam: float,
-                  has_special: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _refine_lanes(fit_data: FitData, labels: np.ndarray,
+                  lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The adapted alternation of every lane from its (lanes x p) labels,
-    group 0 being the special group when ``has_special``.
+    group 0 being the special group.
 
     Each step recomputes the centers and reassigns every feature to its
     nearest one, ties to the smallest group index.  A lane leaves when its
     labels repeat, after `MAX_ITERS` steps, or when a class group empties.
     Returns ``(labels, iterations, emptied)`` per lane.
     """
-    n_groups = len(fit_data.class_x) + has_special
     out = labels.copy()
     iterations = np.zeros(len(labels), dtype=np.intp)
     emptied = np.zeros(len(labels), dtype=bool)
@@ -285,9 +290,9 @@ def _refine_lanes(fit_data: FitData, labels: np.ndarray, lam: float,
     for it in range(1, MAX_ITERS + 1):
         if not len(live):
             break
-        special, classes = _lane_centers(fit_data, current, has_special)
+        special, classes = _lane_centers(fit_data, current)
         new = _lane_distances(fit_data, special, classes, lam).argmin(axis=0).T
-        empty = (_group_sizes(new, n_groups)[:, int(has_special):] == 0).any(axis=1)
+        empty = (_group_sizes(new, len(classes) + 1)[:, 1:] == 0).any(axis=1)
         out[live] = new
         iterations[live] = it
         emptied[live[empty]] = True
@@ -307,17 +312,15 @@ def _fit_lanes(fit_data: FitData, config: FitConfig,
     ``(labels, fitted)``: the (lanes x p) final labels and whether each
     lane produced a partition.
     """
-    has_special = config.with_selection
-    n_groups = len(fit_data.class_x) + has_special
     labels = np.zeros((len(streams), len(fit_data.points)), dtype=np.intp)
     fitted = np.zeros(len(streams), dtype=bool)
     pending = np.arange(len(streams))
     for _ in range(MAX_ATTEMPTS):
         if not len(pending):
             break
-        start, seeded = _init_lanes(fit_data, n_groups, has_special,
+        start, seeded = _init_lanes(fit_data, config.with_selection,
                                     [streams[lane] for lane in pending])
-        refined, _, emptied = _refine_lanes(fit_data, start[seeded], config.lam, has_special)
+        refined, _, emptied = _refine_lanes(fit_data, start[seeded], config.lam)
         done = pending[seeded][~emptied]
         labels[done] = refined[~emptied]
         fitted[done] = True
@@ -325,8 +328,7 @@ def _fit_lanes(fit_data: FitData, config: FitConfig,
     return labels, fitted
 
 
-def _lane_errors(ds: LabeledDataset, fit_data: FitData, labels: np.ndarray,
-                 has_special: bool) -> np.ndarray:
+def _lane_errors(ds: LabeledDataset, fit_data: FitData, labels: np.ndarray) -> np.ndarray:
     """Training error of every lane's model in one pass.
 
     Class j's centroid on I_j is the class-j mean mu_j of every feature
@@ -334,11 +336,10 @@ def _lane_errors(ds: LabeledDataset, fit_data: FitData, labels: np.ndarray,
     (x - mu_j)^2 @ onehot_j / |I_j|; ties go to the smallest class, as in
     `predict_many`.
     """
-    offset = int(has_special)
-    onehot = _onehot(labels, ds.k + offset)
+    members = _onehot(labels, ds.k + 1)[:, 1:]
     scores = np.empty((ds.k, ds.n, len(labels)))
     for j, xs in enumerate(fit_data.class_x):
-        member = onehot[:, j + offset]
+        member = members[:, j]
         scores[j] = np.square(ds.x - xs.mean(axis=0)) @ member.T / member.sum(axis=1)
     return (scores.argmin(axis=0) + 1 != ds.labels[:, None]).mean(axis=0)
 
@@ -357,10 +358,10 @@ def init_partition(ds: LabeledDataset, n_groups: int,
     if n_groups > ds.p:
         raise ValueError("cannot form more groups than features")
     has_special = n_groups == ds.k + 1
-    labels, ok = _init_lanes(FitData.of(ds), n_groups, has_special, [rng])
+    labels, ok = _init_lanes(FitData.of(ds), has_special, [rng])
     if not ok[0]:
         raise EmptyGroupError("k-means left a cluster empty; draw a new initialization")
-    return _partition(labels[0], n_groups, has_special)
+    return _partition(labels[0], ds.k, has_special)
 
 
 def _check_class_groups(part: FeaturePartition) -> None:
@@ -371,24 +372,20 @@ def _check_class_groups(part: FeaturePartition) -> None:
 def update_centers(ds: LabeledDataset, part: FeaturePartition) -> ClusterCenters:
     """Recompute the alternation centers for the current partition."""
     _check_class_groups(part)
-    special, classes = _lane_centers(FitData.of(ds), _labels(part, ds.p)[None],
-                                     part.has_special)
+    special, classes = _lane_centers(FitData.of(ds), _labels(part, ds.p)[None])
     centers = [m[:, 0] for m in classes]
     if part.has_special:
-        centers.insert(0, None if np.isnan(special[0, 0]) else special[:, 0])
+        centers.insert(0, None if special is None else special[:, 0])
     return ClusterCenters(tuple(centers), has_special=part.has_special)
 
 
 def _dn_distances(fit_data: FitData, centers: ClusterCenters, lam: float) -> np.ndarray:
     """The (p x groups) matrix that `assign_rows` minimizes over, for one
-    lane's centers."""
-    offset = int(centers.has_special)
-    special = None
-    if centers.has_special:
-        m0 = centers.centers[0]
-        special = np.full((fit_data.points.shape[1], 1), np.nan) if m0 is None else m0[:, None]
-    classes = tuple(m[:, None] for m in centers.centers[offset:])
-    return _lane_distances(fit_data, special, classes, lam)[:, :, 0].T
+    lane's centers; the special column is inf without m_0."""
+    m0, *classes = centers.centers if centers.has_special else (None, *centers.centers)
+    dist = _lane_distances(fit_data, None if m0 is None else m0[:, None],
+                           tuple(m[:, None] for m in classes), lam)
+    return dist[int(not centers.has_special):, :, 0].T
 
 
 def assign_rows(ds: LabeledDataset, centers: ClusterCenters, lam: float) -> FeaturePartition:
@@ -400,7 +397,7 @@ def assign_rows(ds: LabeledDataset, centers: ClusterCenters, lam: float) -> Feat
     special group being index 0.
     """
     assignment = _dn_distances(FitData.of(ds), centers, lam).argmin(axis=1)
-    return _partition(assignment, len(centers.centers), centers.has_special)
+    return _partition(assignment + (not centers.has_special), ds.k, centers.has_special)
 
 
 def clustering_objective(ds: LabeledDataset, part: FeaturePartition) -> float:
@@ -412,9 +409,8 @@ def clustering_objective(ds: LabeledDataset, part: FeaturePartition) -> float:
     if part.has_special and len(part.special):
         m0 = centers.centers[0]
         total += np.square(ds.x[:, part.special] - m0[:, None]).mean(axis=0).sum()
-    offset = 1 if part.has_special else 0
-    for j, (g, xs) in enumerate(zip(part.class_groups, class_blocks(ds))):
-        m = centers.centers[j + offset]
+    for g, xs, m in zip(part.class_groups, class_blocks(ds),
+                        centers.centers[int(part.has_special):]):
         total += np.square(xs.take(g, axis=1) - m[:, None]).mean(axis=0).sum()
     return float(total)
 
@@ -428,10 +424,10 @@ def refine_partition(ds: LabeledDataset, part: FeaturePartition, config: FitConf
     """
     _check_class_groups(part)
     labels, iterations, emptied = _refine_lanes(FitData.of(ds), _labels(part, ds.p)[None],
-                                                config.lam, part.has_special)
+                                                config.lam)
     if emptied[0]:
         raise EmptyGroupError("empty class group during alternation")
-    return _partition(labels[0], len(part.groups), part.has_special), int(iterations[0])
+    return _partition(labels[0], ds.k, part.has_special), int(iterations[0])
 
 
 def lloyd_fit(ds: LabeledDataset, config: FitConfig,
@@ -445,7 +441,7 @@ def lloyd_fit(ds: LabeledDataset, config: FitConfig,
     if not fitted[0]:
         raise FitFailedError(f"gave up after {MAX_ATTEMPTS} attempts "
                              "that all produced an empty group")
-    return _partition(labels[0], ds.k + config.with_selection, config.with_selection)
+    return _partition(labels[0], ds.k, config.with_selection)
 
 
 def fit_best(ds: LabeledDataset, config: FitConfig):
@@ -460,23 +456,22 @@ def fit_best(ds: LabeledDataset, config: FitConfig):
         raise ValueError(f"feature selection at lambda={config.lam!r} needs k + 1 = "
                          f"{ds.k + 1} feature groups, but there are only p = {ds.p} features")
     fit_data = FitData.of(ds)
-    best_err, best_labels, failures = math.inf, None, 0
+    best_err, best_labels = math.inf, None
     for first in range(0, config.restarts, LANE_BLOCK):
         streams = [rngmod.generator(config.seed, "restart", r)
                    for r in range(first, min(first + LANE_BLOCK, config.restarts))]
         labels, fitted = _fit_lanes(fit_data, config, streams)
-        failures += int((~fitted).sum())
         if not fitted.any():
             continue
         labels = labels[fitted]
-        errors = _lane_errors(ds, fit_data, labels, config.with_selection)
+        errors = _lane_errors(ds, fit_data, labels)
         winner = int(errors.argmin())
         if errors[winner] < best_err:
             best_err, best_labels = errors[winner], labels[winner]
     if best_labels is None:
         raise FitFailedError(f"all {config.restarts} restarts failed "
-                             f"({failures} exhausted their empty-group attempts)")
-    part = _partition(best_labels, ds.k + config.with_selection, config.with_selection)
+                             f"({config.restarts} exhausted their empty-group attempts)")
+    part = _partition(best_labels, ds.k, config.with_selection)
     model = with_lambda(compute_centroids(ds, part), config.lam)
     # The one-pass scores sum in another order than predict_many, so the
     # reported error is the model's own.

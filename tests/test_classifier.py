@@ -215,6 +215,21 @@ def test_model_json_inf_lambda(tmp_path, toy_ds, toy_partition):
     assert load_model(path).lambda_used is None
 
 
+def test_model_json_inf_lambda_loads_as_no_selection_and_resaves_without_it(tmp_path):
+    import json
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**_toy_model_doc(), "lambda": "inf"}))
+    model = load_model(path)
+    assert model.lambda_used is None
+    again = tmp_path / "again.json"
+    save_model(model, again)
+    assert "lambda" not in json.loads(again.read_text())
+    assert load_model(again).lambda_used is None
+    built = NdcModel(model.partition, model.centroids, k=model.k, p=model.p,
+                     lambda_used=math.inf)
+    assert built.lambda_used is None
+
+
 def _cyclic_partition(p, k):
     assignment = np.arange(p) % k
     return FeaturePartition(tuple(np.flatnonzero(assignment == j) for j in range(k)))

@@ -226,6 +226,35 @@ def test_benchmark_needs_mode(tmp_path):
     assert main(["benchmark", "--classifiers", "nc"]) == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_benchmark_threads_below_one_exit_2(capsys, threads):
+    assert main(["benchmark", "--sim", "2", "--level", "0.9", "--d", "3", "--reps", "2",
+                 "--classifiers", "nc", "--threads", threads]) == 2
+    captured = capsys.readouterr()
+    assert f"threads must be >= 1, got {threads}" in captured.err
+    assert captured.out == ""
+
+
+def test_benchmark_data_and_sim_conflict_exit_2(toy_csv, capsys):
+    assert main(["benchmark", "--data", str(toy_csv), "--sim", "2", "--level", "0.9",
+                 "--d", "3", "--classifiers", "nc"]) == 2
+    captured = capsys.readouterr()
+    assert "need exactly one of --data, --sim, got --data and --sim" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("modes", [("--corollary", "--consistency"),
+                                   ("--data", "--corollary"),
+                                   ("--data", "--consistency")])
+def test_oracle_mode_conflict_exit_2(toy_csv, capsys, modes):
+    args = [arg for mode in modes
+            for arg in ([mode, str(toy_csv)] if mode == "--data" else [mode])]
+    assert main(["oracle", *args]) == 2
+    captured = capsys.readouterr()
+    assert f"got {' and '.join(modes)}" in captured.err
+    assert captured.out == ""
+
+
 def test_oracle_data_mode(toy_csv, capsys):
     assert main(["oracle", "--data", str(toy_csv)]) == 0
     out = capsys.readouterr().out

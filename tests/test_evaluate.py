@@ -123,6 +123,44 @@ def test_tune_delta_picks_largest_on_ties():
     assert delta == max(zero_error)
 
 
+def test_tune_delta_refuses_an_empty_grid():
+    ds = LabeledDataset.from_arrays(np.arange(24.0).reshape(12, 2), [1] * 6 + [2] * 6)
+    with pytest.raises(ValueError, match="empty shrinkage grid"):
+        tune_delta(ds, CvConfig(seed=0), grid_size=0)
+    with pytest.raises(ValueError, match="empty multiplier grid"):
+        tune_lambda(ds, (), CvConfig(seed=0))
+
+
+def test_tune_delta_single_candidate_is_returned_without_fitting(monkeypatch):
+    import ndc.evaluate
+
+    def no_fit(ds, delta):
+        raise AssertionError("a single candidate needs no nested fit")
+
+    monkeypatch.setattr(ndc.evaluate, "nsc_fit", no_fit)
+    ds = LabeledDataset.from_arrays(np.arange(24.0).reshape(12, 2), [1] * 6 + [2] * 6)
+    delta, errors = tune_delta(ds, CvConfig(seed=0), grid_size=1)
+    assert delta == 0.0
+    assert list(errors) == [0.0] and math.isnan(errors[0.0])
+
+
+def test_tuning_builds_each_nested_training_set_once(monkeypatch):
+    import ndc.evaluate
+
+    built = []
+    subset = ndc.evaluate._subset
+    monkeypatch.setattr(ndc.evaluate, "_subset",
+                        lambda ds, rows: built.append(len(rows)) or subset(ds, rows))
+    rng = np.random.default_rng(104)
+    x = np.vstack([rng.normal(size=(12, 3)) + 2.0, rng.normal(size=(12, 3)) - 2.0])
+    ds = LabeledDataset.from_arrays(x, [1] * 12 + [2] * 12)
+    tune_delta(ds, CvConfig(seed=3), grid_size=5)
+    assert len(built) == 3  # one per nested fold, not one per candidate and fold
+    built.clear()
+    tune_lambda(ds, (0.9, math.inf), CvConfig(seed=3), restarts=2)
+    assert len(built) == 3
+
+
 def test_cv_benchmark_separable_toy(toy_ds):
     x = np.tile(toy_ds.x, (6, 1))
     labels = np.tile(toy_ds.labels, 6)
@@ -203,6 +241,13 @@ def test_classifier_name_handling():
         canonical_classifier("mystery")
     with pytest.raises(ValueError):
         run_simulation_benchmark(1, 0.3, 3, reps=1, classifiers=["nc"], seed=0)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_simulation_benchmark_refuses_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        run_simulation_benchmark(2, 0.9, 3, reps=2, classifiers=["nc"], seed=0,
+                                 threads=threads)
 
 
 @pytest.mark.parametrize("bad", [

@@ -466,10 +466,12 @@ def assert_lockstep_matches_reference(ds, config):
     labels, fitted = _fit_lanes(fd, config, streams)
     assert fitted.tolist() == [groups is not None for groups, _, _ in runs]
     fitted_runs = [(r, groups, err) for r, (groups, _, err) in enumerate(runs) if groups is not None]
+    first = int(not config.with_selection)  # group 0 stays empty without selection
     for (r, groups, _), row in zip(fitted_runs, labels[fitted]):
-        assert [np.flatnonzero(row == j).tolist() for j in range(len(groups))] == \
+        assert [np.flatnonzero(row == j).tolist() for j in range(first, ds.k + 1)] == \
             [g.tolist() for g in groups], f"restart {r}"
-    errors = _lane_errors(ds, fd, labels[fitted], config.with_selection)
+        assert first == 0 or not (row == 0).any()
+    errors = _lane_errors(ds, fd, labels[fitted])
     assert errors.tolist() == [err for _, _, err in fitted_runs]
     assert np.flatnonzero(fitted)[errors.argmin()] == winner
     part, model, err = fit_best(ds, config)
@@ -518,7 +520,7 @@ def test_one_pass_errors_break_score_ties_like_predict():
                                         np.repeat([1, 2, 3], 4))
         n_groups = ds.k + has_special
         labels = np.array([rng.permutation(np.arange(ds.p) % n_groups) for _ in range(40)])
-        got = _lane_errors(ds, FitData.of(ds), labels, has_special)
+        got = _lane_errors(ds, FitData.of(ds), labels + (not has_special))
         for row, err in zip(labels, got):
             part = FeaturePartition(tuple(np.flatnonzero(row == j) for j in range(n_groups)),
                                     has_special=has_special)
@@ -573,8 +575,8 @@ def test_all_constant_matrix_fails_after_every_attempt(monkeypatch):
     seeded = []
     init_lanes = ndc.kmeans._init_lanes
     monkeypatch.setattr(ndc.kmeans, "_init_lanes",
-                        lambda fd, g, s, streams: seeded.append(len(streams))
-                        or init_lanes(fd, g, s, streams))
+                        lambda fd, selection, streams: seeded.append(len(streams))
+                        or init_lanes(fd, selection, streams))
     monkeypatch.setattr(ndc.kmeans, "MAX_ATTEMPTS", 4)
     with pytest.raises(FitFailedError, match="all 3 restarts failed"):
         fit_best(ds, FitConfig(restarts=3))
@@ -642,7 +644,7 @@ def test_lockstep_refine_objective_never_increases_with_special_group(seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ndc.kmeans, "MAX_ITERS", 1)  # one alternation step per call
         for _ in range(30):
-            labels, _, emptied = _refine_lanes(fd, labels, 1.0, True)
+            labels, _, emptied = _refine_lanes(fd, labels, 1.0)
             labels, values = labels[~emptied], np.asarray(values)[~emptied]
             if not len(labels):
                 break
