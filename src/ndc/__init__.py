@@ -50,19 +50,7 @@ from .evaluate import (
     tune_delta,
     tune_lambda,
 )
-from .kmeans import (
-    ClusterCenters,
-    EmptyGroupError,
-    FitConfig,
-    FitFailedError,
-    assign_rows,
-    clustering_objective,
-    fit_best,
-    init_partition,
-    lloyd_fit,
-    refine_partition,
-    update_centers,
-)
+from .kmeans import FitConfig, FitFailedError, clustering_objective, fit_best
 from .oracle import (
     BlockDistributionSpec,
     ConsistencyResult,

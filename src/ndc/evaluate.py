@@ -54,10 +54,12 @@ _ALIASES = {"ndcs": "ndc-s", "ndc_s": "ndc-s"}
 # Native thread pools a worker process would otherwise size to every core.
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# What a fit raises on data it cannot handle (an emptied class group is
-# a ValueError); a benchmark unit or tuning candidate that raises one of
-# these is counted as failed.  Anything else is a programming error and
-# propagates.
+# What a fit raises on data it cannot handle: FitFailedError when no
+# restart or tuning candidate fitted, and ValueError for selection with
+# k + 1 > p, a class with fewer rows than `NESTED_FOLDS` in a nested
+# split, or data that nsc's checks find degenerate.  A benchmark unit or
+# tuning candidate that raises one of these is counted as failed.
+# Anything else is a programming error and propagates.
 _FIT_FAILURES = (FitFailedError, ValueError)
 
 

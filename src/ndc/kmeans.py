@@ -33,10 +33,11 @@ lane leaves when its labels repeat or after `MAX_ITERS` steps.  A lane
 whose initialization leaves a cluster empty, or whose class group
 empties during the alternation, draws a fresh initialization from its
 own stream, up to `MAX_ATTEMPTS` attempts, so every stream is consumed
-in the order of a lone run.  The training errors of all lanes come from
-one pass over the class means.  At most `LANE_BLOCK` lanes run at a
-time, which bounds the (lanes x p x groups) distance block and its
-one-hot on wide data.  `init_partition`, `update_centers`,
+in the order of a lone run.  At most `LANE_BLOCK` lanes run at a time,
+which bounds the (lanes x p x groups) distance block and its one-hot
+on wide data; a restart that converges or gives up hands its lane to
+the next one.  Each round's converged lanes are scored in one pass over
+the class means.  `init_partition`, `update_centers`,
 `assign_rows`, `refine_partition` and `lloyd_fit` run the same kernels
 on one lane; they and `fit_best` alone convert between the lane layout
 and the k- or (k + 1)-group `FeaturePartition` and `ClusterCenters`.
@@ -44,6 +45,7 @@ and the k- or (k + 1)-group `FeaturePartition` and `ClusterCenters`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,11 +55,12 @@ from . import rng as rngmod
 from .classifier import compute_centroids, training_error, with_lambda
 from .data import FeaturePartition, LabeledDataset, class_blocks, row_sq_norms, sq_distances
 
-# Lanes fitted together.  At p = 20 000 features and k + 1 = 4 groups a
-# block's distance array and one-hot hold 8 * 20 000 * 4 float64 each,
-# about 5 MB.  Larger blocks fit small problems faster (a 100-restart fit
-# on sim 4 takes about 0.10 s at 8 lanes, 0.08 s at 16 and 0.06 s at 32,
-# one thread on a 2-vCPU x86 host) but grow that block in proportion.
+# Lanes fitted at once; a restart's lane goes to the next restart when it
+# converges or gives up.  At p = 20 000 features and k + 1 = 4 groups the
+# lanes' distance array and one-hot hold 8 * 20 000 * 4 float64 each,
+# about 5 MB.  More lanes fit small problems faster (a 100-restart fit on
+# sim 4 takes about 0.10 s at 8 lanes, 0.08 s at 16 and 0.06 s at 32, one
+# thread on a 2-vCPU x86 host) but grow those arrays in proportion.
 LANE_BLOCK = 8
 # Lloyd steps of one k-means or one alternation before a lane stops.
 MAX_ITERS = 100
@@ -301,31 +304,30 @@ def _refine_lanes(fit_data: FitData, labels: np.ndarray,
     return out, iterations, emptied
 
 
-def _fit_lanes(fit_data: FitData, config: FitConfig,
-               streams: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """Initialize and refine every lane to convergence.
+def _fit_lanes(fit_data: FitData, config: FitConfig, streams):
+    """Initialize and refine restarts to convergence in at most
+    `LANE_BLOCK` lanes, drawing each restart's stream from ``streams`` as
+    it first enters a lane.
 
-    Each round gives every pending lane one attempt: an initialization
-    drawn from its own stream, then the alternation.  A lane whose
-    initialization leaves a cluster empty or whose class group empties
-    stays pending, up to `MAX_ATTEMPTS` attempts.  Returns
-    ``(labels, fitted)``: the (lanes x p) final labels and whether each
-    lane produced a partition.
+    Each round gives the first `LANE_BLOCK` waiting restarts one attempt:
+    an initialization from the restart's stream, then the alternation.  A
+    restart whose initialization leaves a cluster empty or whose class
+    group empties waits for another attempt, up to `MAX_ATTEMPTS`; one
+    that converges or gives up hands its lane to the next restart.
+    Yields ``(restarts, labels)`` each round: the ascending indices of the
+    converged restarts and their (lanes x p) labels.
     """
-    labels = np.zeros((len(streams), len(fit_data.points)), dtype=np.intp)
-    fitted = np.zeros(len(streams), dtype=bool)
-    pending = np.arange(len(streams))
-    for _ in range(MAX_ATTEMPTS):
-        if not len(pending):
-            break
-        start, seeded = _init_lanes(fit_data, config.with_selection,
-                                    [streams[lane] for lane in pending])
+    queue, lanes, attempts = enumerate(streams), [], np.zeros(0, dtype=np.intp)
+    while lanes := lanes + list(itertools.islice(queue, LANE_BLOCK - len(lanes))):
+        attempts = np.append(attempts, np.zeros(len(lanes) - len(attempts), np.intp)) + 1
+        start, seeded = _init_lanes(fit_data, config.with_selection, [s for _, s in lanes])
         refined, _, emptied = _refine_lanes(fit_data, start[seeded], config.lam)
-        done = pending[seeded][~emptied]
-        labels[done] = refined[~emptied]
-        fitted[done] = True
-        pending = pending[~fitted[pending]]
-    return labels, fitted
+        done = seeded.copy()
+        done[seeded] = ~emptied
+        if done.any():
+            yield np.array([r for r, _ in lanes])[done], refined[~emptied]
+        keep = ~done & (attempts < MAX_ATTEMPTS)
+        lanes, attempts = [lane for lane, kept in zip(lanes, keep) if kept], attempts[keep]
 
 
 def _lane_errors(ds: LabeledDataset, fit_data: FitData, labels: np.ndarray) -> np.ndarray:
@@ -437,11 +439,10 @@ def lloyd_fit(ds: LabeledDataset, config: FitConfig,
     Runs that hit an empty group are abandoned and re-initialized; after
     `MAX_ATTEMPTS` attempts it raises FitFailedError.
     """
-    labels, fitted = _fit_lanes(FitData.of(ds), config, [rng])
-    if not fitted[0]:
-        raise FitFailedError(f"gave up after {MAX_ATTEMPTS} attempts "
-                             "that all produced an empty group")
-    return _partition(labels[0], ds.k, config.with_selection)
+    for _, labels in _fit_lanes(FitData.of(ds), config, [rng]):
+        return _partition(labels[0], ds.k, config.with_selection)
+    raise FitFailedError(f"gave up after {MAX_ATTEMPTS} attempts "
+                         "that all produced an empty group")
 
 
 def fit_best(ds: LabeledDataset, config: FitConfig):
@@ -456,18 +457,14 @@ def fit_best(ds: LabeledDataset, config: FitConfig):
         raise ValueError(f"feature selection at lambda={config.lam!r} needs k + 1 = "
                          f"{ds.k + 1} feature groups, but there are only p = {ds.p} features")
     fit_data = FitData.of(ds)
-    best_err, best_labels = math.inf, None
-    for first in range(0, config.restarts, LANE_BLOCK):
-        streams = [rngmod.generator(config.seed, "restart", r)
-                   for r in range(first, min(first + LANE_BLOCK, config.restarts))]
-        labels, fitted = _fit_lanes(fit_data, config, streams)
-        if not fitted.any():
-            continue
-        labels = labels[fitted]
+    streams = (rngmod.generator(config.seed, "restart", r) for r in range(config.restarts))
+    best, best_labels = (math.inf, 0), None
+    for restarts, labels in _fit_lanes(fit_data, config, streams):
         errors = _lane_errors(ds, fit_data, labels)
-        winner = int(errors.argmin())
-        if errors[winner] < best_err:
-            best_err, best_labels = errors[winner], labels[winner]
+        # restarts ascend within a round, so argmin breaks ties to the earliest
+        lane = int(errors.argmin())
+        if (errors[lane], restarts[lane]) < best:
+            best, best_labels = (errors[lane], restarts[lane]), labels[lane]
     if best_labels is None:
         raise FitFailedError(f"all {config.restarts} restarts failed "
                              f"({config.restarts} exhausted their empty-group attempts)")

@@ -21,6 +21,7 @@ from ndc.kmeans import (
     FitData,
     FitFailedError,
     _fit_lanes,
+    _init_lanes,
     _labels,
     _lane_errors,
     _refine_lanes,
@@ -456,14 +457,23 @@ def _groups(part):
     return [g.tolist() for g in part.groups]
 
 
+def restart_rounds(ds, config):
+    """Each round of `_fit_lanes` over the restart streams of ``config``:
+    the converged restarts' indices and labels."""
+    streams = (rngmod.generator(config.seed, "restart", r) for r in range(config.restarts))
+    return [(restarts.tolist(), labels) for restarts, labels in _fit_lanes(FitData.of(ds), config, streams)]
+
+
 def assert_lockstep_matches_reference(ds, config):
     """Every lane of the lockstep fit equals the reference's restart of the
     same index, the one-pass training error equals `training_error` for
     every lane, and `fit_best` keeps the reference's winner."""
     runs, winner = ref_fit_best(ds, config)
     fd = FitData.of(ds)
-    streams = [rngmod.generator(config.seed, "restart", r) for r in range(config.restarts)]
-    labels, fitted = _fit_lanes(fd, config, streams)
+    labels = np.zeros((config.restarts, ds.p), dtype=np.intp)
+    fitted = np.zeros(config.restarts, dtype=bool)
+    for restarts, rows in restart_rounds(ds, config):
+        labels[restarts], fitted[restarts] = rows, True
     assert fitted.tolist() == [groups is not None for groups, _, _ in runs]
     fitted_runs = [(r, groups, err) for r, (groups, _, err) in enumerate(runs) if groups is not None]
     first = int(not config.with_selection)  # group 0 stays empty without selection
@@ -539,6 +549,51 @@ def test_lane_blocks_do_not_change_the_fit(monkeypatch, block):
         assert _groups(got_part) == _groups(part) and got_err == err
         for a, b in zip(got_model.centroids, model.centroids):
             np.testing.assert_array_equal(a, b)
+
+
+def fail_first_lane(monkeypatch, times):
+    """Make the first ``times`` `_init_lanes` calls report lane 0, the
+    earliest waiting restart, as failed; returns every call's lane count."""
+    calls = []
+
+    def init_lanes(fd, selection, streams):
+        labels, ok = _init_lanes(fd, selection, streams)
+        calls.append(len(streams))
+        if len(calls) <= times:
+            ok[0] = False
+        return labels, ok
+
+    monkeypatch.setattr(ndc.kmeans, "_init_lanes", init_lanes)
+    return calls
+
+
+def test_freed_lanes_go_to_waiting_restarts(monkeypatch):
+    # restart 0 fails three times while restarts 1-3 converge at once, so
+    # each takes the freed second lane in turn: every round runs
+    # min(LANE_BLOCK, waiting restarts) lanes
+    ds = block_dataset(np.random.default_rng(38), k=2, n_per_class=10, d=3, sigma2=1.5, r=2)
+    config = FitConfig(restarts=4, seed=3)
+    assert [attempts for _, attempts, _ in ref_fit_best(ds, config)[0]] == [1, 1, 1, 1]
+    monkeypatch.setattr(ndc.kmeans, "LANE_BLOCK", 2)
+    calls = fail_first_lane(monkeypatch, 3)
+    assert [restarts for restarts, _ in restart_rounds(ds, config)] == [[1], [2], [3], [0]]
+    assert calls == [2, 2, 2, 1]
+
+
+def test_tied_errors_go_to_the_earliest_restart_across_rounds(monkeypatch):
+    # restart 0 retries once, so restart 1 converges a round before it;
+    # with every training error tied, restart 0 still wins
+    ds = random_dataset(np.random.default_rng(39), k=2, p=8, n_per_class=6)
+    config = FitConfig(restarts=2, seed=5)
+    monkeypatch.setattr(ndc.kmeans, "_lane_errors", lambda ds, fd, labels: np.zeros(len(labels)))
+    fail_first_lane(monkeypatch, 1)
+    rounds = restart_rounds(ds, config)
+    assert [restarts for restarts, _ in rounds] == [[1], [0]]
+    first, second = rounds[1][1][0], rounds[0][1][0]
+    assert not np.array_equal(first, second)
+    fail_first_lane(monkeypatch, 1)
+    part, _, _ = fit_best(ds, config)
+    assert _groups(part) == [np.flatnonzero(first == j).tolist() for j in range(1, ds.k + 1)]
 
 
 def test_fit_with_as_many_features_as_classes():
