@@ -19,8 +19,9 @@ import sys
 
 from . import rng as rngmod
 from .classifier import load_model, predict_many, save_model
-from .data import CsvFormatError, read_feature_csv, read_labeled_csv, write_labeled_csv
+from .data import read_feature_csv, read_labeled_csv, write_labeled_csv
 from .evaluate import (
+    RUNNABLE_CLASSIFIERS,
     CvConfig,
     HarnessOptions,
     run_cv_benchmark,
@@ -38,27 +39,23 @@ from .simulate import generate, preset
 DEFAULT_SEED = 20240807
 
 
-class CliError(Exception):
-    """User-facing input problem (maps to exit code 2)."""
-
-
 def _parse_lambda(text: str) -> float:
     if text.lower() in ("inf", "infinity"):
         return math.inf
     try:
         value = float(text)
     except ValueError:
-        raise CliError(f"bad lambda value {text!r}") from None
+        raise ValueError(f"bad lambda value {text!r}") from None
     if value <= 0:
-        raise CliError("lambda must be positive")
+        raise ValueError("lambda must be positive")
     return value
 
 
 def _one_mode(flags: dict[str, bool]) -> str:
-    """The one flag of ``flags`` that is set; CliError when none or several are."""
+    """The one flag of ``flags`` that is set; ValueError when none or several are."""
     chosen = [name for name, on in flags.items() if on]
     if len(chosen) != 1:
-        raise CliError(f"need exactly one of {', '.join(flags)}"
+        raise ValueError(f"need exactly one of {', '.join(flags)}"
                        + (f", got {' and '.join(chosen)}" if chosen else ""))
     return chosen[0]
 
@@ -78,7 +75,7 @@ def cmd_fit(args) -> int:
     ds = read_labeled_csv(args.train_csv, label_col=args.label_col)
     if args.k is not None:
         if args.k != ds.k:
-            raise CliError(f"--k {args.k} disagrees with labels (k={ds.k})")
+            raise ValueError(f"--k {args.k} disagrees with labels (k={ds.k})")
     lam = _parse_lambda(args.lam) if args.lam is not None else math.inf
     config = FitConfig(restarts=args.restarts, lam=lam, seed=args.seed)
     _, model, err = fit_best(ds, config)
@@ -93,7 +90,7 @@ def cmd_predict(args) -> int:
     model = load_model(args.model_json)
     x, _, header, raw_rows = read_feature_csv(args.data_csv, label_col=args.label_col)
     if x.shape[1] != model.p:
-        raise CliError(f"model expects {model.p} features, data has {x.shape[1]}")
+        raise ValueError(f"model expects {model.p} features, data has {x.shape[1]}")
     predicted = predict_many(model, x)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -115,10 +112,10 @@ def cmd_benchmark(args) -> int:
                                   setting=str(args.data))
     else:
         if args.level is None:
-            raise CliError("--sim needs --level")
+            raise ValueError("--sim needs --level")
         d_or_r = args.r if args.sim == 4 else args.d
         if d_or_r is None:
-            raise CliError("--d is required for sims 1-3, --r for sim 4")
+            raise ValueError("--d is required for sims 1-3, --r for sim 4")
         report = run_simulation_benchmark(args.sim, args.level, d_or_r,
                                           reps=args.reps, classifiers=classifiers,
                                           seed=args.seed, options=options,
@@ -165,8 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="nearest disjoint centroid classification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    def common(p, seed=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--label-col", default="label")
 
     p = sub.add_parser("simulate", help="write train/test CSVs for a benchmark preset")
@@ -184,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--lambda", dest="lam", default=None,
                    help="special-group multiplier; omit or 'inf' for no feature selection")
-    p.add_argument("--restarts", type=int, default=100)
+    p.add_argument("--restarts", type=int, default=FitConfig.restarts)
     p.add_argument("--out", default="model.json")
     common(p)
     p.set_defaults(func=cmd_fit)
@@ -193,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_json")
     p.add_argument("data_csv")
     p.add_argument("--out", default="predictions.csv")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("benchmark", help="compare classifiers on a preset or a CSV")
@@ -202,11 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--data", help="labeled CSV for a cross-validation benchmark")
-    p.add_argument("--folds", type=int, default=3)
+    p.add_argument("--folds", type=int, default=CvConfig.folds)
     p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--classifiers", default="ndc,ndc-s,nc,nsc,knn")
-    p.add_argument("--restarts", type=int, default=100)
-    p.add_argument("--tune-restarts", type=int, default=25)
+    p.add_argument("--classifiers", default=",".join(RUNNABLE_CLASSIFIERS))
+    p.add_argument("--restarts", type=int, default=HarnessOptions.final_restarts)
+    p.add_argument("--tune-restarts", type=int, default=HarnessOptions.tune_restarts)
     p.add_argument("--threads", type=int, default=None,
                    help="worker process cap for --sim runs (default: all cores); "
                    "--data runs are serial")
@@ -228,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu2", type=float, default=0.0)
     p.add_argument("--n-grid", default="50,2000")
     p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--restarts", type=int, default=100)
+    p.add_argument("--restarts", type=int, default=FitConfig.restarts)
     p.add_argument("--fitter", choices=("lloyd", "exact"), default="lloyd",
                    help="heuristic fit or the brute-force risk minimizer")
     common(p)
@@ -241,7 +239,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, CsvFormatError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FitFailedError as exc:

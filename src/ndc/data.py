@@ -220,8 +220,10 @@ def _read_csv(path, label_col, require_labels):
             header = next(reader)
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file") from None
-        rows = list(reader)
-    rows = [r for r in rows if r]
+        rows, lines = [], []  # lines[r]: the file line of rows[r], blank lines skipped
+        for row in filter(None, reader):
+            rows.append(row)
+            lines.append(reader.line_num)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     label_idx = header.index(label_col) if label_col in header else None
@@ -234,25 +236,25 @@ def _read_csv(path, label_col, require_labels):
     labels = np.empty(len(rows), dtype=np.int64) if label_idx is not None else None
     for r, row in enumerate(rows):
         if len(row) != len(header):
-            raise CsvFormatError(f"{path}: row {r + 2} has {len(row)} cells, header has {len(header)}")
+            raise CsvFormatError(f"{path}: row {lines[r]} has {len(row)} cells, header has {len(header)}")
         for c, i in enumerate(feat_idx):
             try:
                 x[r, c] = float(row[i])
             except ValueError:
                 raise CsvFormatError(
-                    f"{path}: row {r + 2}, column '{header[i]}': non-numeric value {row[i]!r}"
+                    f"{path}: row {lines[r]}, column '{header[i]}': non-numeric value {row[i]!r}"
                 ) from None
         if labels is not None:
             try:
                 labels[r] = int(row[label_idx])
             except ValueError:
                 raise CsvFormatError(
-                    f"{path}: row {r + 2}: non-integer label {row[label_idx]!r}"
+                    f"{path}: row {lines[r]}: non-integer label {row[label_idx]!r}"
                 ) from None
     finite = np.isfinite(x)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]
-        raise CsvFormatError(f"{path}: row {r + 2}, column '{header[feat_idx[c]]}': "
+        raise CsvFormatError(f"{path}: row {lines[r]}, column '{header[feat_idx[c]]}': "
                              f"non-finite value {rows[r][feat_idx[c]]!r}")
     return x, labels, header, rows
 

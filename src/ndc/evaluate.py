@@ -115,7 +115,7 @@ class HarnessOptions:
 
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     tune_restarts: int = 25
-    final_restarts: int = 100
+    final_restarts: int = FitConfig.restarts
     knn_neighbors: int = 15
     delta_grid_size: int = 30
 
@@ -130,13 +130,13 @@ class HarnessOptions:
             raise ValueError("delta_grid_size must be >= 1")
 
 
-def _tune(train: LabeledDataset, grid, cv: CvConfig, stream: str, what: str,
+def _tune(train: LabeledDataset, grid, seed: int, stream: str, what: str,
           fit) -> tuple[float, dict[float, float]]:
     """Pick the grid value with the lowest nested-CV misclassification.
 
     An empty grid raises ValueError, and a single value is returned
     without fitting (its error as NaN).  The `NESTED_FOLDS` nested folds
-    are drawn from ``cv.seed``'s child ``stream``; each fold's training
+    are drawn from ``seed``'s child ``stream``; each fold's training
     set is built once and shared by every candidate.
     ``fit(data, i, f, seed)`` fits candidate ``grid[i]`` on the training
     part of nested fold ``f`` (``seed`` being the nested folds' seed) and
@@ -148,7 +148,7 @@ def _tune(train: LabeledDataset, grid, cv: CvConfig, stream: str, what: str,
         raise ValueError(f"empty {what} grid")
     if len(grid) == 1:
         return grid[0], {grid[0]: float("nan")}
-    nested = CvConfig(folds=NESTED_FOLDS, seed=rngmod.child_seed(cv.seed, stream))
+    nested = CvConfig(folds=NESTED_FOLDS, seed=rngmod.child_seed(seed, stream))
     fold_errors = [[] for _ in grid]
     for f, (tr, va) in enumerate(k_fold_split(train, nested)):
         data = _subset(train, tr)
@@ -167,12 +167,13 @@ def _tune(train: LabeledDataset, grid, cv: CvConfig, stream: str, what: str,
     return best, mean_errors
 
 
-def tune_lambda(train: LabeledDataset, grid, cv: CvConfig,
-                restarts: int = 25) -> tuple[float, dict[float, float]]:
+def tune_lambda(train: LabeledDataset, grid, seed: int,
+                restarts: int) -> tuple[float, dict[float, float]]:
     """Pick the special-group multiplier by nested CV misclassification.
 
-    Candidates whose fits fail on every nested fold are skipped; ties go
-    to the largest multiplier (feature selection is sacrificed last).
+    Each candidate fits with ``restarts`` restarts.  Candidates whose fits
+    fail on every nested fold are skipped; ties go to the largest
+    multiplier (feature selection is sacrificed last).
     """
     grid = tuple(grid)
 
@@ -182,20 +183,20 @@ def tune_lambda(train: LabeledDataset, grid, cv: CvConfig,
         _, model, _ = fit_best(data, config)
         return lambda x: predict_many(model, x)
 
-    return _tune(train, grid, cv, "nested-lambda", "multiplier", fit)
+    return _tune(train, grid, seed, "nested-lambda", "multiplier", fit)
 
 
-def tune_delta(train: LabeledDataset, cv: CvConfig,
-               grid_size: int = 30) -> tuple[float, dict[float, float]]:
-    """Pick the shrinkage threshold by nested CV misclassification; ties
-    go to the largest threshold (fewest features)."""
+def tune_delta(train: LabeledDataset, seed: int,
+               grid_size: int) -> tuple[float, dict[float, float]]:
+    """Pick one of ``grid_size`` shrinkage thresholds by nested CV
+    misclassification; ties go to the largest (fewest features)."""
     grid = [float(delta) for delta in nsc_delta_grid(train, size=grid_size)]
 
     def fit(data, i, f, nested_seed):
         model = nsc_fit(data, grid[i])
         return lambda x: nsc_predict_many(model, x)
 
-    return _tune(train, grid, cv, "nested-delta", "shrinkage", fit)
+    return _tune(train, grid, seed, "nested-delta", "shrinkage", fit)
 
 
 # The registry's entries look up the fit and predict functions by their
@@ -213,9 +214,8 @@ def _ndc(train, seed, options):
 
 
 def _ndc_s(train, seed, options):
-    lam, _ = tune_lambda(train, options.lambda_grid,
-                         CvConfig(seed=rngmod.child_seed(seed, "tune", "ndc-s")),
-                         restarts=options.tune_restarts)
+    lam, _ = tune_lambda(train, options.lambda_grid, rngmod.child_seed(seed, "tune", "ndc-s"),
+                         options.tune_restarts)
     return *_fit_partition(train, seed, options, lam), {"lambda": lam}
 
 
@@ -225,8 +225,7 @@ def _nc(train, seed, options):
 
 
 def _nsc(train, seed, options):
-    delta, _ = tune_delta(train, CvConfig(seed=rngmod.child_seed(seed, "tune", "nsc")),
-                          grid_size=options.delta_grid_size)
+    delta, _ = tune_delta(train, rngmod.child_seed(seed, "tune", "nsc"), options.delta_grid_size)
     model = nsc_fit(train, delta)
     return (lambda x: nsc_predict_many(model, x)), model.selected_feature_count, {"delta": delta}
 
@@ -248,6 +247,14 @@ def canonical_classifier(name: str) -> str:
     if name in UNAVAILABLE_CLASSIFIERS:
         raise ValueError(f"classifier '{name}' is not available in this build")
     raise ValueError(f"unknown classifier '{name}'")
+
+
+def _classifier_names(classifiers) -> list[str]:
+    """The canonical names of ``classifiers``; ValueError when there are none."""
+    names = [canonical_classifier(c) for c in classifiers]
+    if not names:
+        raise ValueError("no classifiers given")
+    return names
 
 
 def _score_unit(names, train: LabeledDataset, test_x: np.ndarray, test_labels: np.ndarray,
@@ -403,7 +410,7 @@ def run_simulation_benchmark(sim_id: int, level: float, d_or_r: int, reps: int,
     """
     if reps < 2:
         raise ValueError("need at least 2 repetitions")
-    names = [canonical_classifier(c) for c in classifiers]
+    names = _classifier_names(classifiers)
     options = options or HarnessOptions()
     jobs = [(sim_id, level, d_or_r, rep, names, seed, options) for rep in range(reps)]
     if threads is None:
@@ -424,7 +431,7 @@ def run_cv_benchmark(ds: LabeledDataset, classifiers, cv: CvConfig,
     """Cross-validated benchmark on a fixed dataset: tune on each training
     fold (nested CV), fit, and score on the held-out fold.  Folds run one
     after another in this process."""
-    names = [canonical_classifier(c) for c in classifiers]
+    names = _classifier_names(classifiers)
     options = options or HarnessOptions()
     per_fold = [_score_unit(names, _subset(ds, tr), ds.x[te], ds.labels[te],
                             rngmod.child_seed(cv.seed, "fold", f), options)

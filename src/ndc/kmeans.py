@@ -304,10 +304,10 @@ def _refine_lanes(fit_data: FitData, labels: np.ndarray,
     return out, iterations, emptied
 
 
-def _fit_lanes(fit_data: FitData, config: FitConfig, streams):
+def _fit_lanes(fit_data: FitData, lam: float, streams):
     """Initialize and refine restarts to convergence in at most
-    `LANE_BLOCK` lanes, drawing each restart's stream from ``streams`` as
-    it first enters a lane.
+    `LANE_BLOCK` lanes at multiplier ``lam``, drawing each restart's
+    stream from ``streams`` as it first enters a lane.
 
     Each round gives the first `LANE_BLOCK` waiting restarts one attempt:
     an initialization from the restart's stream, then the alternation.  A
@@ -320,8 +320,8 @@ def _fit_lanes(fit_data: FitData, config: FitConfig, streams):
     queue, lanes, attempts = enumerate(streams), [], np.zeros(0, dtype=np.intp)
     while lanes := lanes + list(itertools.islice(queue, LANE_BLOCK - len(lanes))):
         attempts = np.append(attempts, np.zeros(len(lanes) - len(attempts), np.intp)) + 1
-        start, seeded = _init_lanes(fit_data, config.with_selection, [s for _, s in lanes])
-        refined, _, emptied = _refine_lanes(fit_data, start[seeded], config.lam)
+        start, seeded = _init_lanes(fit_data, not math.isinf(lam), [s for _, s in lanes])
+        refined, _, emptied = _refine_lanes(fit_data, start[seeded], lam)
         done = seeded.copy()
         done[seeded] = ~emptied
         if done.any():
@@ -417,30 +417,29 @@ def clustering_objective(ds: LabeledDataset, part: FeaturePartition) -> float:
     return float(total)
 
 
-def refine_partition(ds: LabeledDataset, part: FeaturePartition, config: FitConfig):
-    """Run the update/assign alternation from ``part`` until the partition
-    repeats or `MAX_ITERS` steps have run.
+def refine_partition(ds: LabeledDataset, part: FeaturePartition, lam: float):
+    """Run the update/assign alternation from ``part`` at multiplier
+    ``lam`` until the partition repeats or `MAX_ITERS` steps have run.
 
     Returns ``(partition, iterations)``; raises EmptyGroupError if a
     class group empties (the caller restarts from a fresh initialization).
     """
     _check_class_groups(part)
-    labels, iterations, emptied = _refine_lanes(FitData.of(ds), _labels(part, ds.p)[None],
-                                                config.lam)
+    labels, iterations, emptied = _refine_lanes(FitData.of(ds), _labels(part, ds.p)[None], lam)
     if emptied[0]:
         raise EmptyGroupError("empty class group during alternation")
     return _partition(labels[0], ds.k, part.has_special), int(iterations[0])
 
 
-def lloyd_fit(ds: LabeledDataset, config: FitConfig,
-              rng: np.random.Generator) -> FeaturePartition:
-    """One full run: initialize, then alternate to convergence.
+def lloyd_fit(ds: LabeledDataset, lam: float, rng: np.random.Generator) -> FeaturePartition:
+    """One full run at multiplier ``lam`` (``math.inf`` for no selection):
+    initialize, then alternate to convergence.
 
     Runs that hit an empty group are abandoned and re-initialized; after
     `MAX_ATTEMPTS` attempts it raises FitFailedError.
     """
-    for _, labels in _fit_lanes(FitData.of(ds), config, [rng]):
-        return _partition(labels[0], ds.k, config.with_selection)
+    for _, labels in _fit_lanes(FitData.of(ds), lam, [rng]):
+        return _partition(labels[0], ds.k, not math.isinf(lam))
     raise FitFailedError(f"gave up after {MAX_ATTEMPTS} attempts "
                          "that all produced an empty group")
 
@@ -459,7 +458,7 @@ def fit_best(ds: LabeledDataset, config: FitConfig):
     fit_data = FitData.of(ds)
     streams = (rngmod.generator(config.seed, "restart", r) for r in range(config.restarts))
     best, best_labels = (math.inf, 0), None
-    for restarts, labels in _fit_lanes(fit_data, config, streams):
+    for restarts, labels in _fit_lanes(fit_data, config.lam, streams):
         errors = _lane_errors(ds, fit_data, labels)
         # restarts ascend within a round, so argmin breaks ties to the earliest
         lane = int(errors.argmin())

@@ -308,7 +308,7 @@ class ConsistencyResult:
 
 
 def consistency_experiment(spec: BlockDistributionSpec, n_grid, reps: int,
-                           seed: int, fit_restarts: int = 100,
+                           seed: int, fit_restarts: int = FitConfig.restarts,
                            fitter: str = "lloyd") -> ConsistencyResult:
     """Fit on ever-larger training draws and report the gap between the
     fitted model's population risk and the optimal risk.

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ import pytest
 
 import ndc
 from ndc.classifier import compute_centroids, save_model, with_lambda
-from ndc.cli import main
+from ndc.cli import build_parser, main
 from ndc.data import FeaturePartition, LabeledDataset, read_labeled_csv, write_labeled_csv
 
 
@@ -224,6 +226,26 @@ def test_benchmark_unknown_classifier_exit_2(tmp_path, toy_csv):
 
 def test_benchmark_needs_mode(tmp_path):
     assert main(["benchmark", "--classifiers", "nc"]) == 2
+
+
+@pytest.mark.parametrize("mode", [["--sim", "2", "--level", "0.9", "--d", "10", "--reps", "2"],
+                                  ["--data", "DATA"]])
+def test_benchmark_empty_classifier_list_exit_2(toy_csv, capsys, mode):
+    args = [str(toy_csv) if arg == "DATA" else arg for arg in mode]
+    assert main(["benchmark", *args, "--classifiers", ","]) == 2
+    captured = capsys.readouterr()
+    assert "no classifiers given" in captured.err
+    assert captured.out == ""
+
+
+def test_every_option_is_read_by_its_subcommand():
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    for name, sub in subcommands.items():
+        source = inspect.getsource(sub.get_default("func"))
+        unread = [action.dest for action in sub._actions
+                  if action.dest != "help" and f"args.{action.dest}" not in source]
+        assert not unread, f"ndc {name} never reads {unread}"
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -167,6 +167,20 @@ def test_csv_non_finite_cell_rejected(tmp_path):
         read_feature_csv(path)
 
 
+@pytest.mark.parametrize("bad_row, message", [
+    ("1,abc,1.0", r"row 4, column 'x1': non-numeric value 'abc'"),
+    ("1,0.5,nan", r"row 4, column 'x2': non-finite value 'nan'"),
+    ("x,0.5,1.0", r"row 4: non-integer label 'x'"),
+    ("1,0.5", r"row 4 has 2 cells"),
+])
+def test_csv_error_rows_count_blank_lines(tmp_path, bad_row, message):
+    # the blank line 3 is skipped, but the faulty row is still named by its line
+    path = tmp_path / "bad.csv"
+    path.write_text(f"label,x1,x2\n1,0.5,1.0\n\n{bad_row}\n2,1.0,0.0\n")
+    with pytest.raises(CsvFormatError, match=message):
+        read_labeled_csv(path)
+
+
 def test_csv_missing_label_column(tmp_path):
     path = tmp_path / "nolabel.csv"
     path.write_text("x1,x2\n1.0,2.0\n")

@@ -63,7 +63,7 @@ def test_k_fold_small_class_rejected():
 
 
 def test_tune_lambda_singleton_grid(toy_ds):
-    lam, _ = tune_lambda(toy_ds, (math.inf,), CvConfig(seed=0))
+    lam, _ = tune_lambda(toy_ds, (math.inf,), 0, 25)
     assert lam == math.inf
 
 
@@ -73,7 +73,7 @@ def test_tune_lambda_prefers_dominant_multiplier():
     rng = np.random.default_rng(101)
     ds = block_dataset(rng, k=2, n_per_class=30, d=2, mu1=1.2, mu2=0.0,
                        sigma1=1.0, sigma2=2.2, r=12)
-    lam, errors = tune_lambda(ds, (0.8, math.inf), CvConfig(seed=1), restarts=10)
+    lam, errors = tune_lambda(ds, (0.8, math.inf), 1, 10)
     assert lam == 0.8
     assert errors[0.8] < errors[math.inf]
 
@@ -85,7 +85,7 @@ def test_tune_lambda_skips_always_failing_candidate():
     ind = np.array([1.0] * 6 + [-1.0] * 6)
     x = np.stack([ind, ind, np.full(12, 0.5), np.full(12, 0.5)], axis=1)
     ds = LabeledDataset.from_arrays(x, [1] * 6 + [2] * 6)
-    lam, errors = tune_lambda(ds, (0.5, math.inf), CvConfig(seed=2), restarts=5)
+    lam, errors = tune_lambda(ds, (0.5, math.inf), 2, 5)
     assert lam == math.inf
     assert 0.5 not in errors
 
@@ -95,7 +95,7 @@ def test_tune_lambda_skips_candidate_with_too_few_features():
     # multiplier fails its up-front check and counts as a failed candidate
     x = np.array([[0.0, 5.0], [1.0, 4.0], [0.5, 4.5], [5.0, 0.0], [4.0, 1.0], [4.5, 0.5]] * 2)
     ds = LabeledDataset.from_arrays(x, [1, 1, 1, 2, 2, 2] * 2)
-    lam, errors = tune_lambda(ds, (0.9, math.inf), CvConfig(seed=2), restarts=3)
+    lam, errors = tune_lambda(ds, (0.9, math.inf), 2, 3)
     assert lam == math.inf
     assert list(errors) == [math.inf]
 
@@ -109,7 +109,7 @@ def test_tune_lambda_lets_programming_errors_escape(monkeypatch, toy_ds):
     monkeypatch.setattr(ndc.evaluate, "fit_best", broken_fit)
     ds = LabeledDataset.from_arrays(np.tile(toy_ds.x, (3, 1)), np.tile(toy_ds.labels, 3))
     with pytest.raises(TypeError, match="broken fit"):
-        tune_lambda(ds, (0.8, math.inf), CvConfig(seed=0))
+        tune_lambda(ds, (0.8, math.inf), 0, 25)
 
 
 def test_tune_delta_picks_largest_on_ties():
@@ -118,7 +118,7 @@ def test_tune_delta_picks_largest_on_ties():
     # the largest one must win
     x = np.vstack([rng.normal(size=(12, 3)) + 8.0, rng.normal(size=(12, 3)) - 8.0])
     ds = LabeledDataset.from_arrays(x, [1] * 12 + [2] * 12)
-    delta, errors = tune_delta(ds, CvConfig(seed=3))
+    delta, errors = tune_delta(ds, 3, 30)
     zero_error = [d for d, e in errors.items() if e == min(errors.values())]
     assert delta == max(zero_error)
 
@@ -126,9 +126,9 @@ def test_tune_delta_picks_largest_on_ties():
 def test_tune_delta_refuses_an_empty_grid():
     ds = LabeledDataset.from_arrays(np.arange(24.0).reshape(12, 2), [1] * 6 + [2] * 6)
     with pytest.raises(ValueError, match="empty shrinkage grid"):
-        tune_delta(ds, CvConfig(seed=0), grid_size=0)
+        tune_delta(ds, 0, 0)
     with pytest.raises(ValueError, match="empty multiplier grid"):
-        tune_lambda(ds, (), CvConfig(seed=0))
+        tune_lambda(ds, (), 0, 25)
 
 
 def test_tune_delta_single_candidate_is_returned_without_fitting(monkeypatch):
@@ -139,7 +139,7 @@ def test_tune_delta_single_candidate_is_returned_without_fitting(monkeypatch):
 
     monkeypatch.setattr(ndc.evaluate, "nsc_fit", no_fit)
     ds = LabeledDataset.from_arrays(np.arange(24.0).reshape(12, 2), [1] * 6 + [2] * 6)
-    delta, errors = tune_delta(ds, CvConfig(seed=0), grid_size=1)
+    delta, errors = tune_delta(ds, 0, 1)
     assert delta == 0.0
     assert list(errors) == [0.0] and math.isnan(errors[0.0])
 
@@ -154,10 +154,10 @@ def test_tuning_builds_each_nested_training_set_once(monkeypatch):
     rng = np.random.default_rng(104)
     x = np.vstack([rng.normal(size=(12, 3)) + 2.0, rng.normal(size=(12, 3)) - 2.0])
     ds = LabeledDataset.from_arrays(x, [1] * 12 + [2] * 12)
-    tune_delta(ds, CvConfig(seed=3), grid_size=5)
+    tune_delta(ds, 3, 5)
     assert len(built) == 3  # one per nested fold, not one per candidate and fold
     built.clear()
-    tune_lambda(ds, (0.9, math.inf), CvConfig(seed=3), restarts=2)
+    tune_lambda(ds, (0.9, math.inf), 3, 2)
     assert len(built) == 3
 
 
@@ -241,6 +241,26 @@ def test_classifier_name_handling():
         canonical_classifier("mystery")
     with pytest.raises(ValueError):
         run_simulation_benchmark(1, 0.3, 3, reps=1, classifiers=["nc"], seed=0)
+
+
+def _no_draw(*args):
+    raise AssertionError("no data may be drawn for an empty classifier list")
+
+
+def test_simulation_benchmark_refuses_no_classifiers(monkeypatch):
+    import ndc.evaluate
+
+    monkeypatch.setattr(ndc.evaluate, "generate", _no_draw)
+    with pytest.raises(ValueError, match="no classifiers"):
+        run_simulation_benchmark(2, 0.9, 10, reps=2, classifiers=[], seed=0, threads=1)
+
+
+def test_cv_benchmark_refuses_no_classifiers(monkeypatch, toy_ds):
+    import ndc.evaluate
+
+    monkeypatch.setattr(ndc.evaluate, "k_fold_split", _no_draw)
+    with pytest.raises(ValueError, match="no classifiers"):
+        run_cv_benchmark(toy_ds, [], CvConfig(seed=0))
 
 
 @pytest.mark.parametrize("threads", [0, -3])

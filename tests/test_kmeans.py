@@ -281,19 +281,18 @@ def test_assignment_always_valid_partition():
 
 
 def test_refine_toy_fixed_points(toy_ds, toy_partition, toy_partition_swapped):
-    config = FitConfig(restarts=1)
-    refined, iters = refine_partition(toy_ds, toy_partition, config)
+    refined, iters = refine_partition(toy_ds, toy_partition, math.inf)
     assert iters == 1  # already stable
     assert groups_as_sets(refined) == groups_as_sets(toy_partition)
     assert refined.groups[0].tolist() == [0]
     # the swapped labeling is also a fixed point, with higher risk; the
     # restart selection is what rejects it
-    swapped, _ = refine_partition(toy_ds, toy_partition_swapped, config)
+    swapped, _ = refine_partition(toy_ds, toy_partition_swapped, math.inf)
     assert swapped.groups[0].tolist() == [1]
 
 
 def test_lloyd_converges_on_toy(toy_ds):
-    part = lloyd_fit(toy_ds, FitConfig(restarts=1), rngmod.generator(21, "run"))
+    part = lloyd_fit(toy_ds, math.inf, rngmod.generator(21, "run"))
     assert groups_as_sets(part) == {frozenset({0}), frozenset({1})}
 
 
@@ -301,7 +300,7 @@ def test_symmetric_identity_partition_is_fixed_point():
     x = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     ds = LabeledDataset.from_arrays(x, [1, 1, 2, 2])
     part = FeaturePartition((np.array([0]), np.array([1])))
-    refined, iters = refine_partition(ds, part, FitConfig(restarts=1))
+    refined, iters = refine_partition(ds, part, math.inf)
     assert iters == 1
     assert refined.groups[0].tolist() == [0]
     assert refined.groups[1].tolist() == [1]
@@ -313,7 +312,7 @@ def test_max_iters_caps_alternation(monkeypatch):
     start = init_partition(ds, 3, rngmod.generator(22, "run"))
     one_pass = assign_rows(ds, update_centers(ds, start), math.inf)
     monkeypatch.setattr(ndc.kmeans, "MAX_ITERS", 1)
-    capped, iters = refine_partition(ds, start, FitConfig(restarts=1))
+    capped, iters = refine_partition(ds, start, math.inf)
     assert iters == 1
     for a, b in zip(capped.groups, one_pass.groups):
         np.testing.assert_array_equal(a, b)
@@ -358,9 +357,8 @@ def test_clustering_objective_monotone_block_data():
 def test_lloyd_deterministic_given_seed():
     rng = np.random.default_rng(20)
     ds = random_dataset(rng, k=2, p=6, n_per_class=8)
-    config = FitConfig(restarts=1, seed=77)
-    a = lloyd_fit(ds, config, rngmod.generator(config.seed, "restart", 0))
-    b = lloyd_fit(ds, config, rngmod.generator(config.seed, "restart", 0))
+    a = lloyd_fit(ds, math.inf, rngmod.generator(77, "restart", 0))
+    b = lloyd_fit(ds, math.inf, rngmod.generator(77, "restart", 0))
     for ga, gb in zip(a.groups, b.groups):
         np.testing.assert_array_equal(ga, gb)
 
@@ -368,7 +366,7 @@ def test_lloyd_deterministic_given_seed():
 def test_fit_best_restarts_one_equals_single_lloyd(toy_ds):
     config = FitConfig(restarts=1, seed=5)
     part, model, err = fit_best(toy_ds, config)
-    direct = lloyd_fit(toy_ds, config, rngmod.generator(5, "restart", 0))
+    direct = lloyd_fit(toy_ds, config.lam, rngmod.generator(5, "restart", 0))
     for a, b in zip(part.groups, direct.groups):
         np.testing.assert_array_equal(a, b)
     direct_model = compute_centroids(toy_ds, direct)
@@ -422,7 +420,7 @@ def test_duplicate_features_exhaust_restarts(monkeypatch):
     config = FitConfig(restarts=1)
     monkeypatch.setattr(ndc.kmeans, "MAX_ATTEMPTS", 7)
     with pytest.raises(FitFailedError, match="gave up after 7 attempts"):
-        lloyd_fit(ds, config, rngmod.generator(0, "dup"))
+        lloyd_fit(ds, config.lam, rngmod.generator(0, "dup"))
     assert ref_lloyd_fit(ds, FitData.of(ds), config, rngmod.generator(0, "dup")) == (None, 7)
     monkeypatch.setattr(ndc.kmeans, "MAX_ATTEMPTS", 5)
     config = FitConfig(restarts=3)
@@ -461,7 +459,7 @@ def restart_rounds(ds, config):
     """Each round of `_fit_lanes` over the restart streams of ``config``:
     the converged restarts' indices and labels."""
     streams = (rngmod.generator(config.seed, "restart", r) for r in range(config.restarts))
-    return [(restarts.tolist(), labels) for restarts, labels in _fit_lanes(FitData.of(ds), config, streams)]
+    return [(restarts.tolist(), labels) for restarts, labels in _fit_lanes(FitData.of(ds), config.lam, streams)]
 
 
 def assert_lockstep_matches_reference(ds, config):
@@ -731,14 +729,13 @@ def test_fit_steps_permute_with_the_columns(seed, k, lam):
                                 has_special=has_special)
 
     part, permuted_part = partition(start), partition(start[order])
-    config = FitConfig(restarts=1, lam=lam)
     try:
-        want, _ = refine_partition(ds, part, config)
+        want, _ = refine_partition(ds, part, lam)
     except EmptyGroupError:
         with pytest.raises(EmptyGroupError):
-            refine_partition(permuted, permuted_part, config)
+            refine_partition(permuted, permuted_part, lam)
     else:
-        got, _ = refine_partition(permuted, permuted_part, config)
+        got, _ = refine_partition(permuted, permuted_part, lam)
         assert _labels(got, p).tolist() == _labels(want, p)[order].tolist()
     step = assign_rows(ds, update_centers(ds, part), lam)
     permuted_step = assign_rows(permuted, update_centers(permuted, permuted_part), lam)
