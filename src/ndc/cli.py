@@ -39,18 +39,6 @@ from .simulate import generate, preset
 DEFAULT_SEED = 20240807
 
 
-def _parse_lambda(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"bad lambda value {text!r}") from None
-    if value <= 0:
-        raise ValueError("lambda must be positive")
-    return value
-
-
 def _one_mode(flags: dict[str, bool]) -> str:
     """The one flag of ``flags`` that is set; ValueError when none or several are."""
     chosen = [name for name, on in flags.items() if on]
@@ -76,8 +64,7 @@ def cmd_fit(args) -> int:
     if args.k is not None:
         if args.k != ds.k:
             raise ValueError(f"--k {args.k} disagrees with labels (k={ds.k})")
-    lam = _parse_lambda(args.lam) if args.lam is not None else math.inf
-    config = FitConfig(restarts=args.restarts, lam=lam, seed=args.seed)
+    config = FitConfig(restarts=args.restarts, lam=args.lam, seed=args.seed)
     _, model, err = fit_best(ds, config)
     save_model(model, args.out)
     print(f"training error: {err!r}")
@@ -180,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a model on a labeled CSV")
     p.add_argument("train_csv")
     p.add_argument("--k", type=int)
-    p.add_argument("--lambda", dest="lam", default=None,
+    p.add_argument("--lambda", dest="lam", type=float, default=math.inf,
                    help="special-group multiplier; omit or 'inf' for no feature selection")
     p.add_argument("--restarts", type=int, default=FitConfig.restarts)
     p.add_argument("--out", default="model.json")

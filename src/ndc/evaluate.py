@@ -25,7 +25,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -176,10 +176,10 @@ def tune_lambda(train: LabeledDataset, grid, seed: int,
     multiplier (feature selection is sacrificed last).
     """
     grid = tuple(grid)
+    configs = [FitConfig(restarts=restarts, lam=lam) for lam in grid]
 
     def fit(data, i, f, nested_seed):
-        config = FitConfig(restarts=restarts, lam=grid[i],
-                           seed=rngmod.child_seed(nested_seed, "lam", i, "fold", f))
+        config = replace(configs[i], seed=rngmod.child_seed(nested_seed, "lam", i, "fold", f))
         _, model, _ = fit_best(data, config)
         return lambda x: predict_many(model, x)
 

@@ -36,8 +36,9 @@ own stream, up to `MAX_ATTEMPTS` attempts, so every stream is consumed
 in the order of a lone run.  At most `LANE_BLOCK` lanes run at a time,
 which bounds the (lanes x p x groups) distance block and its one-hot
 on wide data; a restart that converges or gives up hands its lane to
-the next one.  Each round's converged lanes are scored in one pass over
-the class means.  `init_partition`, `update_centers`,
+the next one.  Each converged restart is scored by its model's own
+training error, except one that repeats the current winner's partition,
+whose model and error it would repeat.  `init_partition`, `update_centers`,
 `assign_rows`, `refine_partition` and `lloyd_fit` run the same kernels
 on one lane; they and `fit_best` alone convert between the lane layout
 and the k- or (k + 1)-group `FeaturePartition` and `ClusterCenters`.
@@ -78,6 +79,11 @@ class FitFailedError(RuntimeError):
     or every candidate of a nested-CV tuning grid, failed."""
 
 
+def _check_lam(lam: float) -> None:
+    if not (lam > 0):
+        raise ValueError("lambda must be positive (inf for no selection)")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """The partition fit's settings: the number of restarts, the
@@ -92,8 +98,7 @@ class FitConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not (self.lam > 0):
-            raise ValueError("lam must be positive (use math.inf for no selection)")
+        _check_lam(self.lam)
 
     @property
     def with_selection(self) -> bool:
@@ -330,22 +335,6 @@ def _fit_lanes(fit_data: FitData, lam: float, streams):
         lanes, attempts = [lane for lane, kept in zip(lanes, keep) if kept], attempts[keep]
 
 
-def _lane_errors(ds: LabeledDataset, fit_data: FitData, labels: np.ndarray) -> np.ndarray:
-    """Training error of every lane's model in one pass.
-
-    Class j's centroid on I_j is the class-j mean mu_j of every feature
-    restricted to I_j, so the score of each row against class j is
-    (x - mu_j)^2 @ onehot_j / |I_j|; ties go to the smallest class, as in
-    `predict_many`.
-    """
-    members = _onehot(labels, ds.k + 1)[:, 1:]
-    scores = np.empty((ds.k, ds.n, len(labels)))
-    for j, xs in enumerate(fit_data.class_x):
-        member = members[:, j]
-        scores[j] = np.square(ds.x - xs.mean(axis=0)) @ member.T / member.sum(axis=1)
-    return (scores.argmin(axis=0) + 1 != ds.labels[:, None]).mean(axis=0)
-
-
 def init_partition(ds: LabeledDataset, n_groups: int,
                    rng: np.random.Generator) -> FeaturePartition:
     """Initial partition from k-means over the transposed data matrix.
@@ -398,6 +387,7 @@ def assign_rows(ds: LabeledDataset, centers: ClusterCenters, lam: float) -> Feat
     special group outright).  Ties go to the smallest group index, the
     special group being index 0.
     """
+    _check_lam(lam)
     assignment = _dn_distances(FitData.of(ds), centers, lam).argmin(axis=1)
     return _partition(assignment + (not centers.has_special), ds.k, centers.has_special)
 
@@ -424,6 +414,7 @@ def refine_partition(ds: LabeledDataset, part: FeaturePartition, lam: float):
     Returns ``(partition, iterations)``; raises EmptyGroupError if a
     class group empties (the caller restarts from a fresh initialization).
     """
+    _check_lam(lam)
     _check_class_groups(part)
     labels, iterations, emptied = _refine_lanes(FitData.of(ds), _labels(part, ds.p)[None], lam)
     if emptied[0]:
@@ -438,6 +429,7 @@ def lloyd_fit(ds: LabeledDataset, lam: float, rng: np.random.Generator) -> Featu
     Runs that hit an empty group are abandoned and re-initialized; after
     `MAX_ATTEMPTS` attempts it raises FitFailedError.
     """
+    _check_lam(lam)
     for _, labels in _fit_lanes(FitData.of(ds), lam, [rng]):
         return _partition(labels[0], ds.k, not math.isinf(lam))
     raise FitFailedError(f"gave up after {MAX_ATTEMPTS} attempts "
@@ -455,20 +447,21 @@ def fit_best(ds: LabeledDataset, config: FitConfig):
     if config.with_selection and ds.k + 1 > ds.p:
         raise ValueError(f"feature selection at lambda={config.lam!r} needs k + 1 = "
                          f"{ds.k + 1} feature groups, but there are only p = {ds.p} features")
-    fit_data = FitData.of(ds)
     streams = (rngmod.generator(config.seed, "restart", r) for r in range(config.restarts))
-    best, best_labels = (math.inf, 0), None
-    for restarts, labels in _fit_lanes(fit_data, config.lam, streams):
-        errors = _lane_errors(ds, fit_data, labels)
-        # restarts ascend within a round, so argmin breaks ties to the earliest
-        lane = int(errors.argmin())
-        if (errors[lane], restarts[lane]) < best:
-            best, best_labels = (errors[lane], restarts[lane]), labels[lane]
-    if best_labels is None:
+    best, best_fit = (math.inf, 0), None
+    for restarts, labels in _fit_lanes(FitData.of(ds), config.lam, streams):
+        for restart, row in zip(restarts, labels):
+            # Repeating the winner's partition repeats its model and error,
+            # so the fit returned is the same whichever restart wins the tie.
+            if best_fit is not None and np.array_equal(row, best_fit[0]):
+                continue
+            part = _partition(row, ds.k, config.with_selection)
+            model = compute_centroids(ds, part)
+            score = (training_error(ds, model), restart)
+            if score < best:
+                best, best_fit = score, (row, part, model)
+    if best_fit is None:
         raise FitFailedError(f"all {config.restarts} restarts failed "
                              f"({config.restarts} exhausted their empty-group attempts)")
-    part = _partition(best_labels, ds.k, config.with_selection)
-    model = with_lambda(compute_centroids(ds, part), config.lam)
-    # The one-pass scores sum in another order than predict_many, so the
-    # reported error is the model's own.
-    return part, model, training_error(ds, model)
+    _, part, model = best_fit
+    return part, with_lambda(model, config.lam), best[0]

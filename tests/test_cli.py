@@ -78,9 +78,10 @@ def test_fit_lambda_inf_same_as_omitted(tmp_path, toy_csv):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     main(["fit", str(toy_csv), "--restarts", "5", "--seed", "4", "--out", str(a)])
-    main(["fit", str(toy_csv), "--lambda", "inf", "--restarts", "5", "--seed", "4",
-          "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+    for inf in ("inf", "Infinity"):
+        main(["fit", str(toy_csv), "--lambda", inf, "--restarts", "5", "--seed", "4",
+              "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_fit_deterministic_files(tmp_path, toy_csv):
@@ -97,6 +98,18 @@ def test_fit_k_mismatch_and_parse_errors(tmp_path, toy_csv):
     bad.write_text("label,x1,x2\n1,a,b\n2,1,2\n")
     assert main(["fit", str(bad), "--out", str(tmp_path / "m.json")]) == 2
     assert main(["fit", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "m.json")]) == 2
+
+
+@pytest.mark.parametrize("lam", ["0", "-1", "nan"])
+def test_fit_non_positive_lambda_exit_2(tmp_path, toy_csv, capsys, lam):
+    assert main(["fit", str(toy_csv), "--lambda", lam, "--out", str(tmp_path / "m.json")]) == 2
+    assert "lambda must be positive" in capsys.readouterr().err
+
+
+def test_fit_unparsable_lambda_exit_2(tmp_path, toy_csv):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", str(toy_csv), "--lambda", "abc", "--out", str(tmp_path / "m.json")])
+    assert exc.value.code == 2
 
 
 def test_fit_selection_with_too_few_features_exit_2(tmp_path, toy_csv, capsys):

@@ -100,6 +100,16 @@ def test_tune_lambda_skips_candidate_with_too_few_features():
     assert list(errors) == [math.inf]
 
 
+@pytest.mark.parametrize("grid, restarts", [((0.0, math.inf), 2), ((math.nan, math.inf), 2),
+                                            ((0.9, math.inf), 0), ((math.inf,), 0)])
+def test_tune_lambda_refuses_bad_arguments(grid, restarts):
+    # a bad multiplier or restart count is an input error, not a failed
+    # candidate, even for a grid of one value that is never fitted
+    ds = block_dataset(np.random.default_rng(104), k=2, n_per_class=9, d=2, sigma2=1.5, r=2)
+    with pytest.raises(ValueError, match="must be"):
+        tune_lambda(ds, grid, 0, restarts)
+
+
 def test_tune_lambda_lets_programming_errors_escape(monkeypatch, toy_ds):
     import ndc.evaluate
 

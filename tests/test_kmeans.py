@@ -23,7 +23,6 @@ from ndc.kmeans import (
     _fit_lanes,
     _init_lanes,
     _labels,
-    _lane_errors,
     _refine_lanes,
     assign_rows,
     clustering_objective,
@@ -440,6 +439,21 @@ def test_config_validation():
         FitConfig(lam=-1.0)
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+def test_one_lane_entries_refuse_a_non_positive_lambda(lam):
+    # the one-lane entries refuse lambda up front, with FitConfig's message
+    ds = block_dataset(np.random.default_rng(40), k=2, n_per_class=9, d=2, sigma2=1.5, r=2)
+    part = init_partition(ds, ds.k + 1, rngmod.generator(0, "init"))
+    with pytest.raises(ValueError, match="lambda must be positive") as want:
+        FitConfig(lam=lam)
+    for call in (lambda: assign_rows(ds, update_centers(ds, part), lam),
+                 lambda: refine_partition(ds, part, lam),
+                 lambda: lloyd_fit(ds, lam, rngmod.generator(0, "run"))):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(want.value)
+
+
 def test_selection_needs_more_features_than_classes():
     # k + 1 = 3 groups cannot be formed from p = 2 features; the check
     # runs before any restart and names the multiplier, k + 1 and p
@@ -464,10 +478,8 @@ def restart_rounds(ds, config):
 
 def assert_lockstep_matches_reference(ds, config):
     """Every lane of the lockstep fit equals the reference's restart of the
-    same index, the one-pass training error equals `training_error` for
-    every lane, and `fit_best` keeps the reference's winner."""
+    same index, and `fit_best` keeps the reference's winner and error."""
     runs, winner = ref_fit_best(ds, config)
-    fd = FitData.of(ds)
     labels = np.zeros((config.restarts, ds.p), dtype=np.intp)
     fitted = np.zeros(config.restarts, dtype=bool)
     for restarts, rows in restart_rounds(ds, config):
@@ -479,9 +491,6 @@ def assert_lockstep_matches_reference(ds, config):
         assert [np.flatnonzero(row == j).tolist() for j in range(first, ds.k + 1)] == \
             [g.tolist() for g in groups], f"restart {r}"
         assert first == 0 or not (row == 0).any()
-    errors = _lane_errors(ds, fd, labels[fitted])
-    assert errors.tolist() == [err for _, _, err in fitted_runs]
-    assert np.flatnonzero(fitted)[errors.argmin()] == winner
     part, model, err = fit_best(ds, config)
     assert _groups(part) == [g.tolist() for g in runs[winner][0]]
     assert err == runs[winner][2] == training_error(ds, model)
@@ -517,22 +526,6 @@ def test_lockstep_fit_matches_reference_through_empty_group_retries(monkeypatch)
     runs, _ = ref_fit_best(ds, config)
     assert 0 < sum(groups is None for groups, _, _ in runs) < config.restarts
     assert_lockstep_matches_reference(ds, config)
-
-
-def test_one_pass_errors_break_score_ties_like_predict():
-    # small integers on four rows per class keep every mean, residual and
-    # score exact in any summation order, so tied scores are exact ties
-    rng = np.random.default_rng(37)
-    for has_special in (False, True):
-        ds = LabeledDataset.from_arrays(rng.integers(0, 3, size=(12, 8)).astype(float),
-                                        np.repeat([1, 2, 3], 4))
-        n_groups = ds.k + has_special
-        labels = np.array([rng.permutation(np.arange(ds.p) % n_groups) for _ in range(40)])
-        got = _lane_errors(ds, FitData.of(ds), labels + (not has_special))
-        for row, err in zip(labels, got):
-            part = FeaturePartition(tuple(np.flatnonzero(row == j) for j in range(n_groups)),
-                                    has_special=has_special)
-            assert err == training_error(ds, compute_centroids(ds, part))
 
 
 @pytest.mark.parametrize("block", [1, 3])
@@ -580,18 +573,34 @@ def test_freed_lanes_go_to_waiting_restarts(monkeypatch):
 
 def test_tied_errors_go_to_the_earliest_restart_across_rounds(monkeypatch):
     # restart 0 retries once, so restart 1 converges a round before it;
-    # with every training error tied, restart 0 still wins
+    # restart 1 has the lower training error, but with every restart's
+    # score tied, restart 0 wins
     ds = random_dataset(np.random.default_rng(39), k=2, p=8, n_per_class=6)
-    config = FitConfig(restarts=2, seed=5)
-    monkeypatch.setattr(ndc.kmeans, "_lane_errors", lambda ds, fd, labels: np.zeros(len(labels)))
+    config = FitConfig(restarts=2, seed=6)
     fail_first_lane(monkeypatch, 1)
     rounds = restart_rounds(ds, config)
     assert [restarts for restarts, _ in rounds] == [[1], [0]]
     first, second = rounds[1][1][0], rounds[0][1][0]
-    assert not np.array_equal(first, second)
+    errors = [training_error(ds, compute_centroids(ds, FeaturePartition(
+        tuple(np.flatnonzero(row == j) for j in range(1, ds.k + 1))))) for row in (first, second)]
+    assert errors[1] < errors[0]
+    monkeypatch.setattr(ndc.kmeans, "training_error", lambda ds, model: 0.0)
     fail_first_lane(monkeypatch, 1)
     part, _, _ = fit_best(ds, config)
     assert _groups(part) == [np.flatnonzero(first == j).tolist() for j in range(1, ds.k + 1)]
+
+
+def test_restarts_that_repeat_the_winner_are_not_scored_again(monkeypatch):
+    # every restart converges to the same partition, so only the first is scored
+    ds = block_dataset(np.random.default_rng(41), k=2, n_per_class=20, d=5, sigma2=4.0)
+    config = FitConfig(restarts=10, seed=1)
+    rows = [row.tobytes() for _, labels in restart_rounds(ds, config) for row in labels]
+    assert len(rows) == 10 and len(set(rows)) == 1
+    scored = []
+    monkeypatch.setattr(ndc.kmeans, "training_error",
+                        lambda ds, model: scored.append(model) or training_error(ds, model))
+    _, model, err = fit_best(ds, config)
+    assert len(scored) == 1 and err == training_error(ds, model)
 
 
 def test_fit_with_as_many_features_as_classes():
