@@ -452,14 +452,16 @@ def fit_best(ds: LabeledDataset, config: FitConfig):
     for restarts, labels in _fit_lanes(FitData.of(ds), config.lam, streams):
         for restart, row in zip(restarts, labels):
             # Repeating the winner's partition repeats its model and error,
-            # so the fit returned is the same whichever restart wins the tie.
+            # but an earlier restart still takes the lead, so that later
+            # ties go to the earliest restart.
             if best_fit is not None and np.array_equal(row, best_fit[0]):
-                continue
-            part = _partition(row, ds.k, config.with_selection)
-            model = compute_centroids(ds, part)
-            score = (training_error(ds, model), restart)
-            if score < best:
-                best, best_fit = score, (row, part, model)
+                fit, error = best_fit, best[0]
+            else:
+                part = _partition(row, ds.k, config.with_selection)
+                fit = (row, part, compute_centroids(ds, part))
+                error = training_error(ds, fit[2])
+            if (error, restart) < best:
+                best, best_fit = (error, restart), fit
     if best_fit is None:
         raise FitFailedError(f"all {config.restarts} restarts failed "
                              f"({config.restarts} exhausted their empty-group attempts)")

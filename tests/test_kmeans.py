@@ -542,20 +542,27 @@ def test_lane_blocks_do_not_change_the_fit(monkeypatch, block):
             np.testing.assert_array_equal(a, b)
 
 
-def fail_first_lane(monkeypatch, times):
-    """Make the first ``times`` `_init_lanes` calls report lane 0, the
-    earliest waiting restart, as failed; returns every call's lane count."""
+def fail_lanes(monkeypatch, *plan):
+    """Make the i-th `_init_lanes` call report the lanes in ``plan[i]`` as
+    failed, lanes holding the waiting restarts in ascending order; returns
+    every call's lane count."""
     calls = []
 
     def init_lanes(fd, selection, streams):
         labels, ok = _init_lanes(fd, selection, streams)
         calls.append(len(streams))
-        if len(calls) <= times:
-            ok[0] = False
+        if len(calls) <= len(plan):
+            ok[list(plan[len(calls) - 1])] = False
         return labels, ok
 
     monkeypatch.setattr(ndc.kmeans, "_init_lanes", init_lanes)
     return calls
+
+
+def fail_first_lane(monkeypatch, times):
+    """Make the first ``times`` `_init_lanes` calls report lane 0, the
+    earliest waiting restart, as failed; returns every call's lane count."""
+    return fail_lanes(monkeypatch, *[[0]] * times)
 
 
 def test_freed_lanes_go_to_waiting_restarts(monkeypatch):
@@ -588,6 +595,23 @@ def test_tied_errors_go_to_the_earliest_restart_across_rounds(monkeypatch):
     fail_first_lane(monkeypatch, 1)
     part, _, _ = fit_best(ds, config)
     assert _groups(part) == [np.flatnonzero(first == j).tolist() for j in range(1, ds.k + 1)]
+
+
+def test_a_restart_that_repeats_the_winner_still_takes_the_tie(monkeypatch):
+    # restarts 0 and 1 retry, so restart 2 converges first; restart 0 then
+    # repeats its partition and restart 1 gives another, all three scores
+    # tied: restart 0 is the earliest, so its partition wins
+    ds = random_dataset(np.random.default_rng(40), k=2, p=8, n_per_class=6)
+    config = FitConfig(restarts=3, seed=9)
+    fail_lanes(monkeypatch, [0, 1], [1])
+    rounds = restart_rounds(ds, config)
+    assert [restarts for restarts, _ in rounds] == [[2], [0], [1]]
+    (_, (winner,)), (_, (repeat,)), (_, (other,)) = rounds
+    assert np.array_equal(repeat, winner) and not np.array_equal(other, winner)
+    monkeypatch.setattr(ndc.kmeans, "training_error", lambda ds, model: 0.0)
+    fail_lanes(monkeypatch, [0, 1], [1])
+    part, _, _ = fit_best(ds, config)
+    assert _groups(part) == [np.flatnonzero(winner == j).tolist() for j in range(1, ds.k + 1)]
 
 
 def test_restarts_that_repeat_the_winner_are_not_scored_again(monkeypatch):
