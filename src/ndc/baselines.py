@@ -26,8 +26,7 @@ class NcModel:
 
 
 def nc_fit(ds: LabeledDataset) -> NcModel:
-    centroids = np.stack([xs.mean(axis=0) for xs in class_blocks(ds)])
-    return NcModel(centroids, k=ds.k, p=ds.p)
+    return NcModel(ds.class_means, k=ds.k, p=ds.p)
 
 
 def nc_predict_many(model: NcModel, x: np.ndarray) -> np.ndarray:
@@ -71,20 +70,18 @@ def _nsc_stats(ds: LabeledDataset):
         raise ValueError("shrunken centroids need at least two classes")
     if ds.n <= ds.k:
         raise ValueError("pooled within-class sd needs n > k")
-    blocks = class_blocks(ds)
     overall = ds.x.mean(axis=0)
-    class_means = np.stack([xs.mean(axis=0) for xs in blocks])
     within_ss = np.zeros(ds.p)
-    for xs, mean in zip(blocks, class_means):
-        within_ss += np.square(xs - mean).sum(axis=0)
+    for ss in ds.class_ss:
+        within_ss += ss
     s_i = np.sqrt(within_ss / (ds.n - ds.k))
     s0 = float(np.median(s_i))
     scale = s_i + s0
     if np.any(scale == 0):
         raise ValueError("degenerate constant data: zero pooled sd and zero s0")
-    counts = np.array([len(xs) for xs in blocks], dtype=np.float64)
+    counts = np.array([len(xs) for xs in class_blocks(ds)], dtype=np.float64)
     m_k = np.sqrt(1.0 / counts - 1.0 / ds.n)
-    d = (class_means - overall) / (m_k[:, None] * scale[None, :])
+    d = (ds.class_means - overall) / (m_k[:, None] * scale[None, :])
     return overall, scale, s0, counts, m_k, d
 
 
@@ -150,6 +147,12 @@ def knn_predict_many(model: KnnModel, x: np.ndarray) -> np.ndarray:
     # memory at np.partition's copy of the distance matrix.
     del d2
     room = model.m - np.count_nonzero(nearer, axis=1)
-    chosen = nearer | (at_t & (np.cumsum(at_t, axis=1, dtype=np.int32) <= room[:, None]))
+    chosen = nearer | at_t
+    # Only a row with more rows at t than room left needs its ties counted.
+    over = np.flatnonzero(np.count_nonzero(at_t, axis=1) > room)
+    if len(over):
+        ties = at_t[over]
+        chosen[over] = nearer[over] | (ties & (np.cumsum(ties, axis=1, dtype=np.int32)
+                                               <= room[over, None]))
     counts = chosen @ (model.labels[:, None] == np.arange(1, model.k + 1)).astype(np.float64)
     return counts.argmax(axis=1) + 1

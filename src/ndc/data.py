@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,9 @@ class LabeledDataset:
     frozen, so the caller's array is left untouched.  Every class in
     ``1..k`` must be represented, and ``k`` may not exceed either
     dimension of the matrix.
+
+    The per-class quantities that fits share (`class_x`, `class_means`,
+    `class_ss`) are computed on first use and kept, read-only.
     """
 
     x: np.ndarray
@@ -78,6 +82,28 @@ class LabeledDataset:
     @property
     def p(self) -> int:
         return self.x.shape[1]
+
+    @cached_property
+    def class_x(self) -> tuple[np.ndarray, ...]:
+        """Each class's rows as one block: element j-1 holds the rows
+        labeled j, in their original order."""
+        return tuple(_frozen(self.x[self.labels == j]) for j in range(1, self.k + 1))
+
+    @cached_property
+    def class_means(self) -> np.ndarray:
+        """The (k x p) per-class column means."""
+        return _frozen(np.stack([xs.mean(axis=0) for xs in self.class_x]))
+
+    @cached_property
+    def class_ss(self) -> np.ndarray:
+        """The (k x p) within-class sums of squares about each class mean."""
+        return _frozen(np.stack([np.square(xs - mean).sum(axis=0)
+                                 for xs, mean in zip(self.class_x, self.class_means)]))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -167,9 +193,9 @@ def feature_rows(x, p: int) -> np.ndarray:
 
 
 def class_blocks(ds: LabeledDataset) -> tuple[np.ndarray, ...]:
-    """Each class's rows as one block: element j-1 holds the rows labeled
-    j, in their original order."""
-    return tuple(ds.x[ds.labels == j] for j in range(1, ds.k + 1))
+    """Each class's rows as one read-only block (`LabeledDataset.class_x`):
+    element j-1 holds the rows labeled j, in their original order."""
+    return ds.class_x
 
 
 def validate_partition(part: FeaturePartition, p: int, k: int) -> str | None:

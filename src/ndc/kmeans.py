@@ -33,15 +33,17 @@ lane leaves when its labels repeat or after `MAX_ITERS` steps.  A lane
 whose initialization leaves a cluster empty, or whose class group
 empties during the alternation, draws a fresh initialization from its
 own stream, up to `MAX_ATTEMPTS` attempts, so every stream is consumed
-in the order of a lone run.  At most `LANE_BLOCK` lanes run at a time,
-which bounds the (lanes x p x groups) distance block and its one-hot
-on wide data; a restart that converges or gives up hands its lane to
-the next one.  Each converged restart is scored by its model's own
-training error, except one that repeats the current winner's partition,
-whose model and error it would repeat.  `init_partition`, `update_centers`,
-`assign_rows`, `refine_partition` and `lloyd_fit` run the same kernels
-on one lane; they and `fit_best` alone convert between the lane layout
-and the k- or (k + 1)-group `FeaturePartition` and `ClusterCenters`.
+in the order of a lone run.  As many lanes run at a time as
+`LANE_BYTES` allows each lane's largest arrays (`_lane_width`), so a
+small fit runs all its restarts in one round while wide data keeps its
+distance blocks and one-hots near 5 MB; a restart that converges or
+gives up hands its lane to the next one.  Each converged restart is
+scored by its model's own training error, except one that repeats the
+current winner's partition, whose model and error it would repeat.
+`init_partition`, `update_centers`, `assign_rows`, `refine_partition`
+and `lloyd_fit` run the same kernels on one lane; they and `fit_best`
+alone convert between the lane layout and the k- or (k + 1)-group
+`FeaturePartition` and `ClusterCenters`.
 """
 
 from __future__ import annotations
@@ -56,13 +58,10 @@ from . import rng as rngmod
 from .classifier import compute_centroids, training_error, with_lambda
 from .data import FeaturePartition, LabeledDataset, class_blocks, row_sq_norms, sq_distances
 
-# Lanes fitted at once; a restart's lane goes to the next restart when it
-# converges or gives up.  At p = 20 000 features and k + 1 = 4 groups the
-# lanes' distance array and one-hot hold 8 * 20 000 * 4 float64 each,
-# about 5 MB.  More lanes fit small problems faster (a 100-restart fit on
-# sim 4 takes about 0.10 s at 8 lanes, 0.08 s at 16 and 0.06 s at 32, one
-# thread on a 2-vCPU x86 host) but grow those arrays in proportion.
-LANE_BLOCK = 8
+# Bytes the lanes fitted at once may give each of their largest arrays
+# (see `_lane_width`).  At p = 20 000 features and k = 3 a lane's holds
+# 4 * 20 000 float64, so 8 lanes fit, about 5 MB.
+LANE_BYTES = 5 << 20
 # Lloyd steps of one k-means or one alternation before a lane stops.
 MAX_ITERS = 100
 # Initializations one restart may draw before it counts as failed, each
@@ -309,12 +308,24 @@ def _refine_lanes(fit_data: FitData, labels: np.ndarray,
     return out, iterations, emptied
 
 
+def _lane_width(fit_data: FitData) -> int:
+    """How many lanes fit `LANE_BYTES`, and at least one.
+
+    A lane's largest arrays hold k + 1 float64 rows of length n or p: the
+    alternation's (groups x p) distances and one-hot, the init k-means'
+    (clusters x p) one-hot and distances, and its k-means++ seeds, each
+    a (clusters x n) block.
+    """
+    p, n = fit_data.points.shape
+    return max(1, LANE_BYTES // (8 * (len(fit_data.class_x) + 1) * max(n, p)))
+
+
 def _fit_lanes(fit_data: FitData, lam: float, streams):
     """Initialize and refine restarts to convergence in at most
-    `LANE_BLOCK` lanes at multiplier ``lam``, drawing each restart's
+    `_lane_width` lanes at multiplier ``lam``, drawing each restart's
     stream from ``streams`` as it first enters a lane.
 
-    Each round gives the first `LANE_BLOCK` waiting restarts one attempt:
+    Each round gives the first `_lane_width` waiting restarts one attempt:
     an initialization from the restart's stream, then the alternation.  A
     restart whose initialization leaves a cluster empty or whose class
     group empties waits for another attempt, up to `MAX_ATTEMPTS`; one
@@ -323,7 +334,8 @@ def _fit_lanes(fit_data: FitData, lam: float, streams):
     converged restarts and their (lanes x p) labels.
     """
     queue, lanes, attempts = enumerate(streams), [], np.zeros(0, dtype=np.intp)
-    while lanes := lanes + list(itertools.islice(queue, LANE_BLOCK - len(lanes))):
+    width = _lane_width(fit_data)
+    while lanes := lanes + list(itertools.islice(queue, width - len(lanes))):
         attempts = np.append(attempts, np.zeros(len(lanes) - len(attempts), np.intp)) + 1
         start, seeded = _init_lanes(fit_data, not math.isinf(lam), [s for _, s in lanes])
         refined, _, emptied = _refine_lanes(fit_data, start[seeded], lam)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .classifier import NdcModel, compute_centroids, empirical_risk
-from .data import FeaturePartition, LabeledDataset, class_blocks
+from .data import FeaturePartition, LabeledDataset
 from .kmeans import FitConfig, fit_best
 
 ENUMERATION_GUARD = 10_000_000
@@ -150,8 +150,7 @@ def brute_force_minimizer(ds: LabeledDataset) -> tuple[FeaturePartition, float]:
     divided by n; the returned risk is recomputed from the winner's
     centroids.
     """
-    wss = np.stack([np.square(xs - xs.mean(axis=0)).sum(axis=0) for xs in class_blocks(ds)])
-    part = _first_minimum(_scored_assignments(wss / ds.n), ds.k)
+    part = _first_minimum(_scored_assignments(ds.class_ss / ds.n), ds.k)
     return part, empirical_risk(ds, compute_centroids(ds, part))
 
 

@@ -81,7 +81,9 @@ def _nsc_oracle(x, labels, k, delta):
             d[c, j] = val
             dshr[c, j] = math.copysign(max(abs(val) - delta, 0.0), val)
     selected = sum(1 for j in range(p) if any(dshr[c, j] != 0.0 for c in classes))
-    return d, dshr, selected
+    shrunken = {(c, j): overall[j] + math.sqrt(1.0 / counts[c] - 1.0 / n) * (s[j] + s0) * dshr[c, j]
+                for c in classes for j in range(p)}
+    return d, dshr, selected, [sj + s0 for sj in s], shrunken
 
 
 def test_nsc_zero_delta_matches_direct_standardized_scores():
@@ -125,11 +127,46 @@ def test_nsc_selected_count_matches_scripted_oracle():
     ds = LabeledDataset.from_arrays(x, labels)
     for delta in (0.0, 0.3, 0.8, 1.5, 3.0):
         model = nsc_fit(ds, delta)
-        _, dshr, expected = _nsc_oracle(x.tolist(), labels, 2, delta)
+        _, dshr, expected, scale, shrunken = _nsc_oracle(x.tolist(), labels, 2, delta)
         assert model.selected_feature_count == expected
+        assert model.scale.tolist() == pytest.approx(scale, rel=1e-12)
         for c in (1, 2):
             for j in range(5):
                 assert model.d_shrunk[c - 1, j] == pytest.approx(dshr[c, j], abs=1e-12)
+                assert model.shrunken[c - 1, j] == pytest.approx(shrunken[c, j], rel=1e-12)
+
+
+def _plain_nsc_fit(ds, delta):
+    """nsc_fit computed from freshly gathered class rows, each class's
+    within-class sum of squares added in class order."""
+    blocks = [ds.x[ds.labels == j] for j in range(1, ds.k + 1)]
+    overall = ds.x.mean(axis=0)
+    class_means = np.stack([xs.mean(axis=0) for xs in blocks])
+    within_ss = np.zeros(ds.p)
+    for xs, mean in zip(blocks, class_means):
+        within_ss += np.square(xs - mean).sum(axis=0)
+    s_i = np.sqrt(within_ss / (ds.n - ds.k))
+    scale = s_i + np.median(s_i)
+    m_k = np.sqrt(1.0 / np.array([len(xs) for xs in blocks]) - 1.0 / ds.n)
+    d = (class_means - overall) / (m_k[:, None] * scale[None, :])
+    d_shrunk = np.sign(d) * np.maximum(np.abs(d) - delta, 0.0)
+    return class_means, d_shrunk, overall + m_k[:, None] * scale * d_shrunk, scale
+
+
+def test_nc_and_nsc_fit_match_a_plain_recomputation():
+    # the dataset's cached class statistics give exactly the numbers that
+    # gathering each class's rows again gives, on a cold cache and a warm one
+    rng = np.random.default_rng(36)
+    for _ in range(10):
+        ds = random_dataset(rng)
+        ds = LabeledDataset.from_arrays(ds.x[rng.permutation(ds.n)], ds.labels)
+        for delta in (0.0, 0.4, 1.2):
+            class_means, d_shrunk, shrunken, scale = _plain_nsc_fit(ds, delta)
+            model = nsc_fit(ds, delta)
+            np.testing.assert_array_equal(model.d_shrunk, d_shrunk)
+            np.testing.assert_array_equal(model.shrunken, shrunken)
+            np.testing.assert_array_equal(model.scale, scale)
+            np.testing.assert_array_equal(nc_fit(ds).centroids, class_means)
 
 
 def test_nsc_selected_count_monotone_in_delta():

@@ -65,6 +65,30 @@ def test_class_blocks_partition_rows():
     np.testing.assert_array_equal(joined, ds.x[np.argsort(labels, kind="stable")])
 
 
+def test_class_blocks_are_cached_read_only():
+    rng = np.random.default_rng(4)
+    labels = rng.integers(1, 4, size=40)
+    labels[:3] = [1, 2, 3]
+    ds = LabeledDataset.from_arrays(rng.normal(size=(40, 6)), labels)
+    blocks = class_blocks(ds)
+    for j, xs in enumerate(blocks, start=1):
+        np.testing.assert_array_equal(xs, ds.x[ds.labels == j])
+        assert not xs.flags.writeable
+    with pytest.raises(ValueError):
+        blocks[0][0, 0] = 1.0
+    again = class_blocks(ds)
+    assert again is blocks and all(a is b for a, b in zip(again, blocks))
+    for name in ("class_means", "class_ss"):
+        stat = getattr(ds, name)
+        assert stat.shape == (ds.k, ds.p) and not stat.flags.writeable
+        assert getattr(ds, name) is stat
+    np.testing.assert_array_equal(ds.class_means,
+                                  np.stack([ds.x[ds.labels == j].mean(axis=0) for j in (1, 2, 3)]))
+    # a new dataset starts its own cache
+    other = LabeledDataset.from_arrays(ds.x, ds.labels)
+    assert class_blocks(other)[0] is not blocks[0]
+
+
 def test_missing_class_rejected():
     with pytest.raises(ValueError, match="no samples"):
         LabeledDataset.from_arrays(np.eye(3), [1, 1, 3])

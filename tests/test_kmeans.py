@@ -514,13 +514,22 @@ def test_lockstep_fit_matches_reference_at_one_iteration(monkeypatch):
         assert_lockstep_matches_reference(ds, FitConfig(restarts=8, lam=lam, seed=4))
 
 
+def set_lane_width(monkeypatch, ds, lanes):
+    """Set `LANE_BYTES` so that fits on ``ds`` run ``lanes`` lanes at a time."""
+    monkeypatch.setattr(ndc.kmeans, "LANE_BYTES", lanes * 8 * (ds.k + 1) * max(ds.n, ds.p))
+    assert ndc.kmeans._lane_width(FitData.of(ds)) == lanes
+
+
 def test_lockstep_fit_matches_reference_through_empty_group_retries(monkeypatch):
     # at lam = 0.6 the special group swallows a class group in most first
-    # attempts; with two attempts per restart some restarts give up
+    # attempts; with two attempts per restart some restarts give up.  All
+    # 20 restarts share one round, and at 3 lanes the retries queue.
     ds = block_dataset(np.random.default_rng(1), k=3, n_per_class=8, d=2, sigma2=1.5, r=6)
     config = FitConfig(restarts=20, lam=0.6, seed=1)
     runs, _ = ref_fit_best(ds, config)
     assert max(attempts for _, attempts, _ in runs) > 1
+    assert_lockstep_matches_reference(ds, config)
+    set_lane_width(monkeypatch, ds, 3)
     assert_lockstep_matches_reference(ds, config)
     monkeypatch.setattr(ndc.kmeans, "MAX_ATTEMPTS", 2)
     runs, _ = ref_fit_best(ds, config)
@@ -528,18 +537,61 @@ def test_lockstep_fit_matches_reference_through_empty_group_retries(monkeypatch)
     assert_lockstep_matches_reference(ds, config)
 
 
-@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("block", [1, 2, 3, 10])
 def test_lane_blocks_do_not_change_the_fit(monkeypatch, block):
+    # 10 lanes hold all 10 restarts, as the default budget does on this shape
     rng = np.random.default_rng(33)
     cases = [(block_dataset(rng, k=3, n_per_class=10, d=2, sigma2=1.8, r=6), lam)
              for lam in (math.inf, 0.9, 0.6)]
     want = [fit_best(ds, FitConfig(restarts=10, lam=lam, seed=2)) for ds, lam in cases]
-    monkeypatch.setattr(ndc.kmeans, "LANE_BLOCK", block)
+    assert ndc.kmeans._lane_width(FitData.of(cases[0][0])) >= 10
+    set_lane_width(monkeypatch, cases[0][0], block)
+    calls = fail_lanes(monkeypatch)
     for (ds, lam), (part, model, err) in zip(cases, want):
         got_part, got_model, got_err = fit_best(ds, FitConfig(restarts=10, lam=lam, seed=2))
         assert _groups(got_part) == _groups(part) and got_err == err
         for a, b in zip(got_model.centroids, model.centroids):
             np.testing.assert_array_equal(a, b)
+    assert max(calls) == block
+
+
+def test_lane_width_follows_the_byte_budget(monkeypatch):
+    # k = 3 at p = 20 000: each lane's distance block and one-hot hold
+    # 4 x 20 000 float64, so the default budget runs 8 lanes
+    ds = LabeledDataset.from_arrays(np.eye(6, 20_000), [1, 1, 2, 2, 3, 3])
+    assert ndc.kmeans._lane_width(FitData.of(ds)) == 8
+    # with more rows than features the k-means++ seeds, (k + 1) x n per
+    # lane, are the largest
+    tall = LabeledDataset.from_arrays(np.eye(4000, 3), [1, 2, 3] * 1333 + [1])
+    assert ndc.kmeans._lane_width(FitData.of(tall)) == ndc.kmeans.LANE_BYTES // (8 * 4 * 4000)
+    # a lane over the budget still runs, alone
+    monkeypatch.setattr(ndc.kmeans, "LANE_BYTES", 8 * 4 * 20_000 - 1)
+    assert ndc.kmeans._lane_width(FitData.of(ds)) == 1
+    monkeypatch.setattr(ndc.kmeans, "LANE_BYTES", 1)
+    assert ndc.kmeans._lane_width(FitData.of(ds)) == 1
+
+
+def test_lane_arrays_stay_within_the_byte_budget(monkeypatch):
+    # at p = 20 000 and k = 3 a 9-restart fit runs 8 lanes, then 1; no
+    # distance matrix or one-hot of theirs outgrows the budget
+    ds = LabeledDataset.from_arrays(np.random.default_rng(42).normal(size=(6, 20_000)),
+                                    [1, 1, 2, 2, 3, 3])
+    monkeypatch.setattr(ndc.kmeans, "MAX_ITERS", 2)
+    sizes = []
+
+    def recorded(fn):
+        def wrapper(*args):
+            out = fn(*args)
+            sizes.append(out.nbytes)
+            return out
+        return wrapper
+
+    for name in ("sq_distances", "_onehot", "_lane_distances"):
+        monkeypatch.setattr(ndc.kmeans, name, recorded(getattr(ndc.kmeans, name)))
+    calls = fail_lanes(monkeypatch)
+    fit_best(ds, FitConfig(restarts=9, lam=0.9))
+    assert calls[:2] == [8, 1]
+    assert max(sizes) == 8 * 8 * 4 * 20_000 <= ndc.kmeans.LANE_BYTES
 
 
 def fail_lanes(monkeypatch, *plan):
@@ -568,11 +620,11 @@ def fail_first_lane(monkeypatch, times):
 def test_freed_lanes_go_to_waiting_restarts(monkeypatch):
     # restart 0 fails three times while restarts 1-3 converge at once, so
     # each takes the freed second lane in turn: every round runs
-    # min(LANE_BLOCK, waiting restarts) lanes
+    # min(lane width, waiting restarts) lanes
     ds = block_dataset(np.random.default_rng(38), k=2, n_per_class=10, d=3, sigma2=1.5, r=2)
     config = FitConfig(restarts=4, seed=3)
     assert [attempts for _, attempts, _ in ref_fit_best(ds, config)[0]] == [1, 1, 1, 1]
-    monkeypatch.setattr(ndc.kmeans, "LANE_BLOCK", 2)
+    set_lane_width(monkeypatch, ds, 2)
     calls = fail_first_lane(monkeypatch, 3)
     assert [restarts for restarts, _ in restart_rounds(ds, config)] == [[1], [2], [3], [0]]
     assert calls == [2, 2, 2, 1]

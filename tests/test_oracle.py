@@ -100,6 +100,23 @@ def test_brute_force_matches_per_assignment_loop(monkeypatch, chunk):
         assert w_star == want_w
 
 
+def test_brute_force_matches_a_plain_recomputation():
+    # the within-class sums of squares and the winner's risk, computed from
+    # freshly gathered class rows, give exactly the cached path's answer
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        ds = random_dataset(rng, p=int(rng.integers(3, 7)))
+        blocks = [ds.x[ds.labels == j] for j in range(1, ds.k + 1)]
+        wss = np.stack([np.square(xs - xs.mean(axis=0)).sum(axis=0) for xs in blocks])
+        want = oracle._first_minimum(oracle._scored_assignments(wss / ds.n), ds.k)
+        total = 0.0
+        for xs, g in zip(blocks, want.groups):
+            cols = xs.take(g, axis=1)
+            total += np.square(cols - cols.mean(axis=0)).mean(axis=1).sum()
+        part, risk = brute_force_minimizer(ds)
+        assert groups(part) == groups(want) and risk == float(total) / ds.n
+
+
 @pytest.mark.parametrize("chunk", [oracle.ASSIGNMENT_CHUNK, 7])
 def test_brute_force_tie_keeps_lexicographically_smallest(monkeypatch, chunk):
     monkeypatch.setattr(oracle, "ASSIGNMENT_CHUNK", chunk)
