@@ -26,6 +26,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .baselines import (
 )
 from .classifier import predict_many
 from .data import LabeledDataset
-from .kmeans import FitConfig, FitFailedError, fit_best
+from .kmeans import FitConfig, FitFailedError, fit_best, fit_grid
 from .simulate import generate, preset
 
 DEFAULT_LAMBDA_GRID = (0.6, 0.8, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, math.inf)
@@ -58,8 +59,9 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # restart or tuning candidate fitted, and ValueError for selection with
 # k + 1 > p, a class with fewer rows than `NESTED_FOLDS` in a nested
 # split, or data that nsc's checks find degenerate.  A benchmark unit or
-# tuning candidate that raises one of these is counted as failed.
-# Anything else is a programming error and propagates.
+# shrinkage candidate that raises one of these is counted as failed (a
+# multiplier candidate fails as `fit_grid`'s None).  Anything else is a
+# programming error and propagates.
 _FIT_FAILURES = (FitFailedError, ValueError)
 
 
@@ -131,17 +133,18 @@ class HarnessOptions:
 
 
 def _tune(train: LabeledDataset, grid, seed: int, stream: str, what: str,
-          fit) -> tuple[float, dict[float, float]]:
+          fit_fold) -> tuple[float, dict[float, float]]:
     """Pick the grid value with the lowest nested-CV misclassification.
 
     An empty grid raises ValueError, and a single value is returned
     without fitting (its error as NaN).  The `NESTED_FOLDS` nested folds
     are drawn from ``seed``'s child ``stream``; each fold's training
     set is built once and shared by every candidate.
-    ``fit(data, i, f, seed)`` fits candidate ``grid[i]`` on the training
-    part of nested fold ``f`` (``seed`` being the nested folds' seed) and
-    returns a function that labels rows.  A candidate whose fits fail on
-    every nested fold is skipped; ties go to the largest value.
+    ``fit_fold(data, f, seed)`` fits every candidate on ``data``, the
+    training part of nested fold ``f`` (``seed`` being the nested folds'
+    seed), and returns per candidate a function that labels rows, or
+    None where that candidate's fit failed.  A candidate whose fits fail
+    on every nested fold is skipped; ties go to the largest value.
     """
     grid = tuple(grid)
     if not grid:
@@ -151,13 +154,9 @@ def _tune(train: LabeledDataset, grid, seed: int, stream: str, what: str,
     nested = CvConfig(folds=NESTED_FOLDS, seed=rngmod.child_seed(seed, stream))
     fold_errors = [[] for _ in grid]
     for f, (tr, va) in enumerate(k_fold_split(train, nested)):
-        data = _subset(train, tr)
-        for i, errors in enumerate(fold_errors):
-            try:
-                predict = fit(data, i, f, nested.seed)
-            except _FIT_FAILURES:
-                continue
-            errors.append(misclassification_rate(predict(train.x[va]), train.labels[va]))
+        for errors, predict in zip(fold_errors, fit_fold(_subset(train, tr), f, nested.seed)):
+            if predict is not None:
+                errors.append(misclassification_rate(predict(train.x[va]), train.labels[va]))
     mean_errors = {value: float(np.mean(errors))
                    for value, errors in zip(grid, fold_errors) if errors}
     if not mean_errors:
@@ -171,19 +170,21 @@ def tune_lambda(train: LabeledDataset, grid, seed: int,
                 restarts: int) -> tuple[float, dict[float, float]]:
     """Pick the special-group multiplier by nested CV misclassification.
 
-    Each candidate fits with ``restarts`` restarts.  Candidates whose fits
-    fail on every nested fold are skipped; ties go to the largest
-    multiplier (feature selection is sacrificed last).
+    Each candidate fits with ``restarts`` restarts, and every candidate's
+    restarts on a nested fold share one `fit_grid` queue.  Candidates
+    whose fits fail on every nested fold are skipped; ties go to the
+    largest multiplier (feature selection is sacrificed last).
     """
     grid = tuple(grid)
     configs = [FitConfig(restarts=restarts, lam=lam) for lam in grid]
 
-    def fit(data, i, f, nested_seed):
-        config = replace(configs[i], seed=rngmod.child_seed(nested_seed, "lam", i, "fold", f))
-        _, model, _ = fit_best(data, config)
-        return lambda x: predict_many(model, x)
+    def fit_fold(data, f, nested_seed):
+        fits = fit_grid(data, [replace(config, seed=rngmod.child_seed(nested_seed, "lam", i,
+                                                                      "fold", f))
+                               for i, config in enumerate(configs)])
+        return [None if fit is None else partial(predict_many, fit[1]) for fit in fits]
 
-    return _tune(train, grid, seed, "nested-lambda", "multiplier", fit)
+    return _tune(train, grid, seed, "nested-lambda", "multiplier", fit_fold)
 
 
 def tune_delta(train: LabeledDataset, seed: int,
@@ -192,11 +193,14 @@ def tune_delta(train: LabeledDataset, seed: int,
     misclassification; ties go to the largest (fewest features)."""
     grid = [float(delta) for delta in nsc_delta_grid(train, size=grid_size)]
 
-    def fit(data, i, f, nested_seed):
-        model = nsc_fit(data, grid[i])
-        return lambda x: nsc_predict_many(model, x)
+    def fit(data, delta):
+        try:
+            return partial(nsc_predict_many, nsc_fit(data, delta))
+        except _FIT_FAILURES:
+            return None
 
-    return _tune(train, grid, seed, "nested-delta", "shrinkage", fit)
+    return _tune(train, grid, seed, "nested-delta", "shrinkage",
+                 lambda data, f, nested_seed: [fit(data, delta) for delta in grid])
 
 
 # The registry's entries look up the fit and predict functions by their

@@ -24,9 +24,12 @@ partition with the lowest training error.
 
 `fit_best` runs its restarts in lockstep.  Each restart is a lane: one
 row of a (lanes x p) label matrix, holding every feature's group.  Every
-lane has k + 1 groups: group 0 is I_0 and group j is class j's.  At
-``lam = inf`` group 0's distance is inf, so it stays empty and the lane
-is the no-selection fit.  A Lloyd step of all live lanes is one Gram
+lane has k + 1 groups: group 0 is I_0 and group j is class j's.  Each
+lane carries its own ``lam``; at ``lam = inf`` group 0's distance is
+inf, so it stays empty and the lane is the no-selection fit.  One queue
+may therefore mix the restarts of several multipliers: `fit_grid` runs
+every candidate of a tuning grid over one `FitData`, and `fit_best` is
+its one-config case.  A Lloyd step of all live lanes is one Gram
 product for the distances and one one-hot product for the centers, so
 the Python work per step does not grow with the number of restarts.  A
 lane leaves when its labels repeat or after `MAX_ITERS` steps.  A lane
@@ -38,12 +41,12 @@ in the order of a lone run.  As many lanes run at a time as
 small fit runs all its restarts in one round while wide data keeps its
 distance blocks and one-hots near 5 MB; a restart that converges or
 gives up hands its lane to the next one.  Each converged restart is
-scored by its model's own training error, except one that repeats the
-current winner's partition, whose model and error it would repeat.
-`init_partition`, `update_centers`, `assign_rows`, `refine_partition`
-and `lloyd_fit` run the same kernels on one lane; they and `fit_best`
-alone convert between the lane layout and the k- or (k + 1)-group
-`FeaturePartition` and `ClusterCenters`.
+scored by its model's own training error, except one that repeats its
+config's current winner's partition, whose model and error it would
+repeat.  `init_partition`, `update_centers`, `assign_rows`,
+`refine_partition` and `lloyd_fit` run the same kernels on one lane;
+they and `fit_grid` alone convert between the lane layout and the k- or
+(k + 1)-group `FeaturePartition` and `ClusterCenters`.
 """
 
 from __future__ import annotations
@@ -264,26 +267,27 @@ def _lane_centers(fit_data: FitData, labels: np.ndarray):
 
 
 def _lane_distances(fit_data: FitData, special: np.ndarray | None,
-                    classes: tuple[np.ndarray, ...], lam: float) -> np.ndarray:
+                    classes: tuple[np.ndarray, ...], lam: np.ndarray) -> np.ndarray:
     """The (groups x p x lanes) dn-distances that the assign step
     minimizes over: each feature's distance to each lane's centers on
-    their rows.  The special row is scaled by ``lam`` and is inf where
-    ``lam`` is inf or the lane's m_0 is absent (None or NaN)."""
+    their rows.  Each lane's special row is scaled by its own ``lam`` and
+    is inf where that ``lam`` is inf or the lane's m_0 is absent (None or
+    NaN); such a lane forms no m_0 product, so no inf meets a 0."""
     dist = np.full((len(classes) + 1, len(fit_data.points), classes[0].shape[1]), np.inf)
-    if special is not None and not math.isinf(lam):
-        present = ~np.isnan(special[0])
+    if special is not None:
+        present = np.isfinite(lam) & ~np.isnan(special[0])
         m0 = special[:, present].T
         d2 = sq_distances(fit_data.points, fit_data.point_sq, m0, row_sq_norms(m0))
-        dist[0][:, present] = lam * np.sqrt(d2 / len(special))
+        dist[0][:, present] = lam[present] * np.sqrt(d2 / len(special))
     for d, xs, xs_sq, m in zip(dist[1:], fit_data.class_x, fit_data.class_sq, classes):
         d[:] = np.sqrt(sq_distances(xs.T, xs_sq, m.T, row_sq_norms(m.T)) / len(m))
     return dist
 
 
 def _refine_lanes(fit_data: FitData, labels: np.ndarray,
-                  lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The adapted alternation of every lane from its (lanes x p) labels,
-    group 0 being the special group.
+    group 0 being the special group, lane i at multiplier ``lam[i]``.
 
     Each step recomputes the centers and reassigns every feature to its
     nearest one, ties to the smallest group index.  A lane leaves when its
@@ -304,7 +308,7 @@ def _refine_lanes(fit_data: FitData, labels: np.ndarray,
         iterations[live] = it
         emptied[live[empty]] = True
         moving = ~empty & (new != current).any(axis=1)
-        live, current = live[moving], new[moving]
+        live, current, lam = live[moving], new[moving], lam[moving]
     return out, iterations, emptied
 
 
@@ -320,25 +324,35 @@ def _lane_width(fit_data: FitData) -> int:
     return max(1, LANE_BYTES // (8 * (len(fit_data.class_x) + 1) * max(n, p)))
 
 
-def _fit_lanes(fit_data: FitData, lam: float, streams):
+def _fit_lanes(fit_data: FitData, restarts):
     """Initialize and refine restarts to convergence in at most
-    `_lane_width` lanes at multiplier ``lam``, drawing each restart's
-    stream from ``streams`` as it first enters a lane.
+    `_lane_width` lanes, drawing each restart's ``(lam, stream)`` from
+    ``restarts`` as it first enters a lane.
 
     Each round gives the first `_lane_width` waiting restarts one attempt:
-    an initialization from the restart's stream, then the alternation.  A
-    restart whose initialization leaves a cluster empty or whose class
-    group empties waits for another attempt, up to `MAX_ATTEMPTS`; one
-    that converges or gives up hands its lane to the next restart.
-    Yields ``(restarts, labels)`` each round: the ascending indices of the
+    an initialization from the restart's stream, then the alternation at
+    its own multiplier.  The round's selection lanes init k + 1 clusters
+    and its ``lam = inf`` lanes k, in one `_init_lanes` call each; one
+    `_refine_lanes` call then runs them all.  A restart whose
+    initialization leaves a cluster empty or whose class group empties
+    waits for another attempt, up to `MAX_ATTEMPTS`; one that converges
+    or gives up hands its lane to the next restart.  Yields
+    ``(restarts, labels)`` each round: the ascending indices of the
     converged restarts and their (lanes x p) labels.
     """
-    queue, lanes, attempts = enumerate(streams), [], np.zeros(0, dtype=np.intp)
+    queue, lanes, attempts = enumerate(restarts), [], np.zeros(0, dtype=np.intp)
     width = _lane_width(fit_data)
     while lanes := lanes + list(itertools.islice(queue, width - len(lanes))):
         attempts = np.append(attempts, np.zeros(len(lanes) - len(attempts), np.intp)) + 1
-        start, seeded = _init_lanes(fit_data, not math.isinf(lam), [s for _, s in lanes])
-        refined, _, emptied = _refine_lanes(fit_data, start[seeded], lam)
+        lam = np.array([lane_lam for _, (lane_lam, _) in lanes])
+        start = np.empty((len(lanes), len(fit_data.points)), dtype=np.intp)
+        seeded = np.empty(len(lanes), dtype=bool)
+        for selection in (True, False):
+            group = np.isfinite(lam) == selection
+            if group.any():
+                streams = [stream for (_, (_, stream)), g in zip(lanes, group) if g]
+                start[group], seeded[group] = _init_lanes(fit_data, selection, streams)
+        refined, _, emptied = _refine_lanes(fit_data, start[seeded], lam[seeded])
         done = seeded.copy()
         done[seeded] = ~emptied
         if done.any():
@@ -387,7 +401,7 @@ def _dn_distances(fit_data: FitData, centers: ClusterCenters, lam: float) -> np.
     lane's centers; the special column is inf without m_0."""
     m0, *classes = centers.centers if centers.has_special else (None, *centers.centers)
     dist = _lane_distances(fit_data, None if m0 is None else m0[:, None],
-                           tuple(m[:, None] for m in classes), lam)
+                           tuple(m[:, None] for m in classes), np.array([lam]))
     return dist[int(not centers.has_special):, :, 0].T
 
 
@@ -428,7 +442,8 @@ def refine_partition(ds: LabeledDataset, part: FeaturePartition, lam: float):
     """
     _check_lam(lam)
     _check_class_groups(part)
-    labels, iterations, emptied = _refine_lanes(FitData.of(ds), _labels(part, ds.p)[None], lam)
+    labels, iterations, emptied = _refine_lanes(FitData.of(ds), _labels(part, ds.p)[None],
+                                                np.array([lam]))
     if emptied[0]:
         raise EmptyGroupError("empty class group during alternation")
     return _partition(labels[0], ds.k, part.has_special), int(iterations[0])
@@ -442,10 +457,51 @@ def lloyd_fit(ds: LabeledDataset, lam: float, rng: np.random.Generator) -> Featu
     `MAX_ATTEMPTS` attempts it raises FitFailedError.
     """
     _check_lam(lam)
-    for _, labels in _fit_lanes(FitData.of(ds), lam, [rng]):
+    for _, labels in _fit_lanes(FitData.of(ds), [(lam, rng)]):
         return _partition(labels[0], ds.k, not math.isinf(lam))
     raise FitFailedError(f"gave up after {MAX_ATTEMPTS} attempts "
                          "that all produced an empty group")
+
+
+def _too_few_features(ds: LabeledDataset, config: FitConfig) -> bool:
+    """Whether ``config`` selects features, which needs k + 1 groups, on
+    fewer than k + 1 features."""
+    return config.with_selection and ds.k + 1 > ds.p
+
+
+def fit_grid(ds: LabeledDataset, configs):
+    """Run the restarts of every config in ``configs`` in one queue over
+    ``ds`` and keep each config's best, as `fit_best` would.
+
+    Returns one ``(partition, model, training_error)`` per config, or
+    None where that config failed: feature selection with k + 1 > p, or
+    every restart exhausted its attempts.  Each restart draws from the
+    stream its config's `fit_best` would give it, so every fit is the
+    one `fit_best` makes alone.
+    """
+    configs = list(configs)
+    jobs = [(i, r) for i, config in enumerate(configs) if not _too_few_features(ds, config)
+            for r in range(config.restarts)]
+    restarts = ((configs[i].lam, rngmod.generator(configs[i].seed, "restart", r))
+                for i, r in jobs)
+    best = [((math.inf, 0), None)] * len(configs)
+    for indices, labels in _fit_lanes(FitData.of(ds), restarts):
+        for index, row in zip(indices, labels):
+            i, restart = jobs[index]
+            (best_error, _), best_fit = best[i]
+            # Repeating the winner's partition repeats its model and error,
+            # but an earlier restart still takes the lead, so that later
+            # ties go to the earliest restart.
+            if best_fit is not None and np.array_equal(row, best_fit[0]):
+                fit, error = best_fit, best_error
+            else:
+                part = _partition(row, ds.k, configs[i].with_selection)
+                fit = (row, part, compute_centroids(ds, part))
+                error = training_error(ds, fit[2])
+            if (error, restart) < best[i][0]:
+                best[i] = (error, restart), fit
+    return [None if fit is None else (fit[1], with_lambda(fit[2], config.lam), error)
+            for config, ((error, _), fit) in zip(configs, best)]
 
 
 def fit_best(ds: LabeledDataset, config: FitConfig):
@@ -456,26 +512,11 @@ def fit_best(ds: LabeledDataset, config: FitConfig):
     Returns ``(partition, model, training_error)``.  Feature selection
     needs k + 1 groups, so it raises ValueError up front when k + 1 > p.
     """
-    if config.with_selection and ds.k + 1 > ds.p:
+    if _too_few_features(ds, config):
         raise ValueError(f"feature selection at lambda={config.lam!r} needs k + 1 = "
                          f"{ds.k + 1} feature groups, but there are only p = {ds.p} features")
-    streams = (rngmod.generator(config.seed, "restart", r) for r in range(config.restarts))
-    best, best_fit = (math.inf, 0), None
-    for restarts, labels in _fit_lanes(FitData.of(ds), config.lam, streams):
-        for restart, row in zip(restarts, labels):
-            # Repeating the winner's partition repeats its model and error,
-            # but an earlier restart still takes the lead, so that later
-            # ties go to the earliest restart.
-            if best_fit is not None and np.array_equal(row, best_fit[0]):
-                fit, error = best_fit, best[0]
-            else:
-                part = _partition(row, ds.k, config.with_selection)
-                fit = (row, part, compute_centroids(ds, part))
-                error = training_error(ds, fit[2])
-            if (error, restart) < best:
-                best, best_fit = (error, restart), fit
-    if best_fit is None:
+    fit, = fit_grid(ds, [config])
+    if fit is None:
         raise FitFailedError(f"all {config.restarts} restarts failed "
                              f"({config.restarts} exhausted their empty-group attempts)")
-    _, part, model = best_fit
-    return part, with_lambda(model, config.lam), best[0]
+    return fit

@@ -113,10 +113,10 @@ def test_tune_lambda_refuses_bad_arguments(grid, restarts):
 def test_tune_lambda_lets_programming_errors_escape(monkeypatch, toy_ds):
     import ndc.evaluate
 
-    def broken_fit(ds, config):
+    def broken_fit(ds, configs):
         raise TypeError("broken fit")
 
-    monkeypatch.setattr(ndc.evaluate, "fit_best", broken_fit)
+    monkeypatch.setattr(ndc.evaluate, "fit_grid", broken_fit)
     ds = LabeledDataset.from_arrays(np.tile(toy_ds.x, (3, 1)), np.tile(toy_ds.labels, 3))
     with pytest.raises(TypeError, match="broken fit"):
         tune_lambda(ds, (0.8, math.inf), 0, 25)
@@ -169,6 +169,25 @@ def test_tuning_builds_each_nested_training_set_once(monkeypatch):
     built.clear()
     tune_lambda(ds, (0.9, math.inf), 3, 2)
     assert len(built) == 3
+
+
+def test_tuning_fits_every_multiplier_of_a_nested_fold_in_one_grid_fit(monkeypatch):
+    import ndc.evaluate
+
+    calls = []
+    fit_grid = ndc.evaluate.fit_grid
+    monkeypatch.setattr(ndc.evaluate, "fit_grid",
+                        lambda ds, configs: calls.append(configs) or fit_grid(ds, configs))
+    monkeypatch.setattr(ndc.evaluate, "fit_best", _no_draw)
+    rng = np.random.default_rng(104)
+    x = np.vstack([rng.normal(size=(12, 4)) + 2.0, rng.normal(size=(12, 4)) - 2.0])
+    ds = LabeledDataset.from_arrays(x, [1] * 12 + [2] * 12)
+    grid = (0.9, 1.5, math.inf)
+    tune_lambda(ds, grid, 3, 2)
+    assert len(calls) == 3  # one per nested fold, not one per candidate and fold
+    for configs in calls:
+        assert [(c.lam, c.restarts) for c in configs] == [(lam, 2) for lam in grid]
+    assert len({c.seed for configs in calls for c in configs}) == 9
 
 
 def test_cv_benchmark_separable_toy(toy_ds):

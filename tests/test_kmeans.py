@@ -27,12 +27,14 @@ from ndc.kmeans import (
     assign_rows,
     clustering_objective,
     fit_best,
+    fit_grid,
     init_partition,
     lloyd_fit,
     refine_partition,
     update_centers,
 )
 from ndc import rng as rngmod
+from ndc.evaluate import DEFAULT_LAMBDA_GRID
 
 
 def ref_kmeans_rows(points, point_sq, n_clusters, rng):
@@ -472,8 +474,9 @@ def _groups(part):
 def restart_rounds(ds, config):
     """Each round of `_fit_lanes` over the restart streams of ``config``:
     the converged restarts' indices and labels."""
-    streams = (rngmod.generator(config.seed, "restart", r) for r in range(config.restarts))
-    return [(restarts.tolist(), labels) for restarts, labels in _fit_lanes(FitData.of(ds), config.lam, streams)]
+    restarts = ((config.lam, rngmod.generator(config.seed, "restart", r))
+                for r in range(config.restarts))
+    return [(indices.tolist(), labels) for indices, labels in _fit_lanes(FitData.of(ds), restarts)]
 
 
 def assert_lockstep_matches_reference(ds, config):
@@ -679,6 +682,89 @@ def test_restarts_that_repeat_the_winner_are_not_scored_again(monkeypatch):
     assert len(scored) == 1 and err == training_error(ds, model)
 
 
+def assert_same_fit(got, want):
+    """Two ``(partition, model, error)`` fits are equal bit for bit."""
+    (part, model, err), (want_part, want_model, want_err) = got, want
+    assert _groups(part) == _groups(want_part) and part.has_special == want_part.has_special
+    assert err == want_err and model.lambda_used == want_model.lambda_used
+    for a, b in zip(model.centroids, want_model.centroids, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3, None])
+def test_grid_fit_equals_one_fit_per_config(monkeypatch, lanes):
+    # the default multiplier grid, each candidate on its own seed as in
+    # tuning; at lam = 0.6 restarts retry after emptied class groups.
+    # None keeps the default width, which runs every restart in one round.
+    ds = block_dataset(np.random.default_rng(1), k=3, n_per_class=8, d=2, sigma2=1.5, r=6)
+    configs = [FitConfig(restarts=5, lam=lam, seed=10 + i)
+               for i, lam in enumerate(DEFAULT_LAMBDA_GRID)]
+    assert max(attempts for _, attempts, _ in ref_fit_best(ds, configs[0])[0]) > 1
+    want = [fit_best(ds, config) for config in configs]
+    if lanes is None:
+        assert ndc.kmeans._lane_width(FitData.of(ds)) >= 5 * len(configs)
+    else:
+        set_lane_width(monkeypatch, ds, lanes)
+    refine = ndc.kmeans._refine_lanes
+    mixes = []
+    monkeypatch.setattr(ndc.kmeans, "_refine_lanes", lambda fd, labels, lam: mixes.append(
+        (np.isfinite(lam).any(), np.isinf(lam).any())) or refine(fd, labels, lam))
+    got = fit_grid(ds, configs)
+    assert len(got) == len(configs)
+    for fit, wanted in zip(got, want):
+        assert_same_fit(fit, wanted)
+    if lanes != 1:  # some round refines selection and no-selection lanes together
+        assert (True, True) in mixes
+
+
+def test_grid_fit_skips_selection_with_too_few_features():
+    # p = 2 cannot hold k + 1 = 3 groups, so only the lam = inf config fits
+    ds = LabeledDataset.from_arrays([[0.0, 5.0], [1.0, 4.0], [5.0, 0.0], [4.0, 1.0]],
+                                    [1, 1, 2, 2])
+    configs = [FitConfig(restarts=2, lam=0.9, seed=1), FitConfig(restarts=2, seed=2)]
+    selection, plain = fit_grid(ds, configs)
+    assert selection is None
+    assert_same_fit(plain, fit_best(ds, configs[1]))
+
+
+def test_grid_fit_returns_none_for_an_always_failing_candidate():
+    # two distinct feature profiles never fill k + 1 = 3 clusters, so
+    # every finite-multiplier restart exhausts its attempts
+    ind = np.array([1.0] * 6 + [-1.0] * 6)
+    x = np.stack([ind, ind, np.full(12, 0.5), np.full(12, 0.5)], axis=1)
+    ds = LabeledDataset.from_arrays(x, [1] * 6 + [2] * 6)
+    configs = [FitConfig(restarts=3, lam=0.5, seed=4), FitConfig(restarts=3, seed=5)]
+    with pytest.raises(FitFailedError):
+        fit_best(ds, configs[0])
+    failing, plain = fit_grid(ds, configs)
+    assert failing is None
+    assert_same_fit(plain, fit_best(ds, configs[1]))
+
+
+def test_refine_lanes_runs_each_lane_at_its_own_multiplier():
+    # selection starts at three multipliers beside lam = inf lanes: one
+    # from a no-selection start, one from a start whose group 0 holds a
+    # single feature, so that its m_0 lies at distance 0 from it
+    rng = np.random.default_rng(43)
+    ds = random_dataset(rng, k=3, p=9, n_per_class=6)
+    fd = FitData.of(ds)
+    streams = [rngmod.generator(43, "lane", r) for r in range(6)]
+    selected, ok = _init_lanes(fd, True, streams[:4])
+    plain, plain_ok = _init_lanes(fd, False, streams[4:])
+    assert ok.all() and plain_ok.all()
+    lone = plain[1].copy()
+    lone[np.flatnonzero(lone == 1)[0]] = 0
+    assert (lone == 1).any()
+    labels = np.vstack([selected, plain[0], lone])
+    lam = np.array([0.6, 0.9, 1.5, 0.9, math.inf, math.inf])
+    out, iterations, emptied = _refine_lanes(fd, labels, lam)
+    for i in range(len(labels)):
+        alone = _refine_lanes(fd, labels[[i]], lam[[i]])
+        assert out[i].tolist() == alone[0][0].tolist(), f"lane {i}"
+        assert (iterations[i], emptied[i]) == (alone[1][0], alone[2][0]), f"lane {i}"
+    assert not (out[4:] == 0).any()
+
+
 def test_fit_with_as_many_features_as_classes():
     ds = random_dataset(np.random.default_rng(34), k=3, p=3, n_per_class=6)
     part, model, _ = fit_best(ds, FitConfig(restarts=5, seed=1))
@@ -782,7 +868,7 @@ def test_lockstep_refine_objective_never_increases_with_special_group(seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ndc.kmeans, "MAX_ITERS", 1)  # one alternation step per call
         for _ in range(30):
-            labels, _, emptied = _refine_lanes(fd, labels, 1.0)
+            labels, _, emptied = _refine_lanes(fd, labels, np.ones(len(labels)))
             labels, values = labels[~emptied], np.asarray(values)[~emptied]
             if not len(labels):
                 break
