@@ -85,15 +85,26 @@ def _nsc_stats(ds: LabeledDataset):
     return overall, scale, s0, counts, m_k, d
 
 
-def nsc_fit(ds: LabeledDataset, delta: float) -> NscModel:
-    if delta < 0:
+def nsc_fit_grid(ds: LabeledDataset, deltas) -> list[NscModel]:
+    """One model per shrinkage threshold in ``deltas``, all shrunk from
+    one computation of the threshold-free statistics."""
+    deltas = list(deltas)
+    if any(delta < 0 for delta in deltas):
         raise ValueError("shrinkage threshold must be >= 0")
     overall, scale, s0, counts, m_k, d = _nsc_stats(ds)
-    d_shrunk = np.sign(d) * np.maximum(np.abs(d) - delta, 0.0)
-    shrunken = overall[None, :] + m_k[:, None] * scale[None, :] * d_shrunk
-    return NscModel(overall=overall, shrunken=shrunken, d_shrunk=d_shrunk,
-                    scale=scale, s0=s0, priors=counts / ds.n, delta=delta,
-                    k=ds.k, p=ds.p)
+    priors = counts / ds.n
+    models = []
+    for delta in deltas:
+        d_shrunk = np.sign(d) * np.maximum(np.abs(d) - delta, 0.0)
+        shrunken = overall[None, :] + m_k[:, None] * scale[None, :] * d_shrunk
+        models.append(NscModel(overall=overall, shrunken=shrunken, d_shrunk=d_shrunk,
+                               scale=scale, s0=s0, priors=priors, delta=delta,
+                               k=ds.k, p=ds.p))
+    return models
+
+
+def nsc_fit(ds: LabeledDataset, delta: float) -> NscModel:
+    return nsc_fit_grid(ds, [delta])[0]
 
 
 def nsc_scores_many(model: NscModel, x: np.ndarray) -> np.ndarray:

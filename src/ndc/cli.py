@@ -82,8 +82,7 @@ def cmd_predict(args) -> int:
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header + ["predicted"])
-        for row, label in zip(raw_rows, predicted):
-            writer.writerow(row + [int(label)])
+        writer.writerows(row + [label] for row, label in zip(raw_rows, predicted.tolist()))
     print(f"wrote {len(predicted)} predictions to {args.out}")
     return 0
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -222,7 +223,8 @@ def validate_partition(part: FeaturePartition, p: int, k: int) -> str | None:
 
 def read_labeled_csv(path, label_col: str = "label") -> LabeledDataset:
     """Read the delimited ingestion format: a header row, one integer label
-    column, and numeric feature columns taken in file order."""
+    column, and numeric feature columns taken in file order.  A leading
+    UTF-8 byte-order mark is dropped."""
     x, labels, _, _ = _read_csv(path, label_col, require_labels=True)
     try:
         return LabeledDataset.from_arrays(x, labels)
@@ -240,7 +242,7 @@ def read_feature_csv(path, label_col: str = "label"):
 
 
 def _read_csv(path, label_col, require_labels):
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -260,16 +262,22 @@ def _read_csv(path, label_col, require_labels):
         raise CsvFormatError(f"{path}: no feature columns")
     x = np.empty((len(rows), len(feat_idx)), dtype=np.float64)
     labels = np.empty(len(rows), dtype=np.int64) if label_idx is not None else None
+    # itemgetter of one index returns the cell itself, not a 1-tuple
+    feature_cells = (itemgetter(*feat_idx) if len(feat_idx) > 1
+                     else lambda row: (row[feat_idx[0]],))
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise CsvFormatError(f"{path}: row {lines[r]} has {len(row)} cells, header has {len(header)}")
-        for c, i in enumerate(feat_idx):
-            try:
-                x[r, c] = float(row[i])
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: row {lines[r]}, column '{header[i]}': non-numeric value {row[i]!r}"
-                ) from None
+        try:
+            x[r] = list(map(float, feature_cells(row)))
+        except ValueError:
+            for i in feat_idx:  # name the row's first column that float() refuses
+                try:
+                    float(row[i])
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}: row {lines[r]}, column '{header[i]}': non-numeric value {row[i]!r}"
+                    ) from None
         if labels is not None:
             try:
                 labels[r] = int(row[label_idx])
@@ -286,9 +294,14 @@ def _read_csv(path, label_col, require_labels):
 
 
 def write_labeled_csv(path, ds: LabeledDataset, label_col: str = "label") -> None:
-    """Write the ingestion format with the label column first."""
+    """Write the ingestion format with the label column first.
+
+    The header goes through csv.writer, since ``label_col`` may need
+    quoting; a data row is its label and the ``repr`` of each value,
+    which for a finite float never needs quoting.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([label_col] + [f"x{i}" for i in range(1, ds.p + 1)])
-        for label, row in zip(ds.labels, ds.x):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(
+            [label_col] + [f"x{i}" for i in range(1, ds.p + 1)])
+        for label, row in zip(ds.labels.tolist(), ds.x):
+            fh.write(f"{label}," + ",".join(map(repr, row.tolist())) + "\n")

@@ -38,6 +38,7 @@ from .baselines import (
     nc_predict_many,
     nsc_delta_grid,
     nsc_fit,
+    nsc_fit_grid,
     nsc_predict_many,
 )
 from .classifier import predict_many
@@ -58,8 +59,9 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # What a fit raises on data it cannot handle: FitFailedError when no
 # restart or tuning candidate fitted, and ValueError for selection with
 # k + 1 > p, a class with fewer rows than `NESTED_FOLDS` in a nested
-# split, or data that nsc's checks find degenerate.  A benchmark unit or
-# shrinkage candidate that raises one of these is counted as failed (a
+# split, or data that nsc's checks find degenerate.  A benchmark unit
+# that raises one of these is counted as failed, and a nested fold's
+# shrinkage fit that raises one fails every threshold on that fold (a
 # multiplier candidate fails as `fit_grid`'s None).  Anything else is a
 # programming error and propagates.
 _FIT_FAILURES = (FitFailedError, ValueError)
@@ -190,17 +192,22 @@ def tune_lambda(train: LabeledDataset, grid, seed: int,
 def tune_delta(train: LabeledDataset, seed: int,
                grid_size: int) -> tuple[float, dict[float, float]]:
     """Pick one of ``grid_size`` shrinkage thresholds by nested CV
-    misclassification; ties go to the largest (fewest features)."""
+    misclassification; ties go to the largest (fewest features).
+
+    Each nested fold's statistics are computed once and shrunk to every
+    threshold (`nsc_fit_grid`), so data that nsc finds degenerate fails
+    every threshold on that fold.
+    """
     grid = [float(delta) for delta in nsc_delta_grid(train, size=grid_size)]
 
-    def fit(data, delta):
+    def fit_fold(data, f, nested_seed):
         try:
-            return partial(nsc_predict_many, nsc_fit(data, delta))
+            models = nsc_fit_grid(data, grid)
         except _FIT_FAILURES:
-            return None
+            return [None] * len(grid)
+        return [partial(nsc_predict_many, model) for model in models]
 
-    return _tune(train, grid, seed, "nested-delta", "shrinkage",
-                 lambda data, f, nested_seed: [fit(data, delta) for delta in grid])
+    return _tune(train, grid, seed, "nested-delta", "shrinkage", fit_fold)
 
 
 # The registry's entries look up the fit and predict functions by their

@@ -11,6 +11,7 @@ from ndc.baselines import (
     nc_predict_many,
     nsc_delta_grid,
     nsc_fit,
+    nsc_fit_grid,
     nsc_predict_many,
     nsc_scores_many,
 )
@@ -167,6 +168,25 @@ def test_nc_and_nsc_fit_match_a_plain_recomputation():
             np.testing.assert_array_equal(model.shrunken, shrunken)
             np.testing.assert_array_equal(model.scale, scale)
             np.testing.assert_array_equal(nc_fit(ds).centroids, class_means)
+
+
+def test_nsc_grid_fit_matches_the_plain_recomputation_per_threshold():
+    # one computation of the statistics, shrunk per threshold, gives each
+    # threshold's model bit for bit
+    rng = np.random.default_rng(37)
+    for _ in range(5):
+        ds = random_dataset(rng)
+        grid = [float(d) for d in nsc_delta_grid(ds, size=7)]
+        models = nsc_fit_grid(ds, grid)
+        assert [m.delta for m in models] == grid
+        for delta, model in zip(grid, models):
+            _, d_shrunk, shrunken, scale = _plain_nsc_fit(ds, delta)
+            np.testing.assert_array_equal(model.d_shrunk, d_shrunk)
+            np.testing.assert_array_equal(model.shrunken, shrunken)
+            np.testing.assert_array_equal(model.scale, scale)
+    with pytest.raises(ValueError, match=">= 0"):
+        nsc_fit_grid(ds, [0.5, -0.1])
+    assert nsc_fit_grid(ds, []) == []
 
 
 def test_nsc_selected_count_monotone_in_delta():

@@ -144,6 +144,43 @@ def test_fit_then_predict_round_trip(tmp_path, toy_csv, toy_ds, capsys):
     assert (np.array(predicted) != toy_ds.labels).mean() == printed_err
 
 
+def test_fit_and_predict_accept_a_byte_order_mark(tmp_path, toy_csv):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + toy_csv.read_bytes())
+    models, preds = [], []
+    for data in (toy_csv, bom):
+        model = tmp_path / f"{data.stem}.json"
+        pred = tmp_path / f"{data.stem}-pred.csv"
+        assert main(["fit", str(data), "--restarts", "3", "--seed", "2", "--out", str(model)]) == 0
+        assert main(["predict", str(model), str(data), "--out", str(pred)]) == 0
+        models.append(model.read_bytes())
+        preds.append(pred.read_bytes())
+    assert models[0] == models[1]
+    assert preds[0] == preds[1]
+    assert preds[1].startswith(b"label,x1,x2,predicted\n")
+
+
+def test_predict_copies_rows_verbatim_and_appends_the_label(tmp_path, toy_csv):
+    import csv
+    import io
+
+    model = tmp_path / "model.json"
+    main(["fit", str(toy_csv), "--restarts", "3", "--seed", "1", "--out", str(model)])
+    data = tmp_path / "odd.csv"
+    # quoted cells, float()-only syntax and a label column in the middle
+    data.write_text('"x,1",label,x2\n 0.0 ,"1",5_0\n4,2,+6e0\n"6",2,6.\n')
+    out = tmp_path / "pred.csv"
+    assert main(["predict", str(model), str(data), "--out", str(out)]) == 0
+    predicted = ndc.predict_many(ndc.load_model(model), [[0.0, 50.0], [4.0, 6.0], [6.0, 6.0]])
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["x,1", "label", "x2", "predicted"])
+    for row, label in zip([[" 0.0 ", "1", "5_0"], ["4", "2", "+6e0"], ["6", "2", "6."]],
+                          predicted):
+        writer.writerow(row + [int(label)])
+    assert out.read_text() == expected.getvalue()
+
+
 def test_predict_feature_mismatch_exit_2(tmp_path, toy_csv):
     model = tmp_path / "model.json"
     main(["fit", str(toy_csv), "--restarts", "3", "--seed", "1", "--out", str(model)])

@@ -220,3 +220,91 @@ def test_csv_empty_rejected(tmp_path):
     path.write_text("label,x1\n")
     with pytest.raises(CsvFormatError, match="no data rows"):
         read_labeled_csv(path)
+
+
+def _reference_csv_bytes(ds, label_col="label"):
+    """The file a per-cell csv.writer of repr(float(v)) writes."""
+    import csv
+    import io
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([label_col] + [f"x{i}" for i in range(1, ds.p + 1)])
+    for label, row in zip(ds.labels, ds.x):
+        writer.writerow([int(label)] + [repr(float(v)) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+EDGE_VALUES = np.array([[-0.0, 5e-324, 1e16, 1e-5],
+                        [1e300, -1e-300, 0.1, 2.0 ** 53 + 2],
+                        [1 / 3, -2.5e-7, 123456789.123, 1e22]])
+
+
+@pytest.mark.parametrize("label_col", ["label", 'cl,ass "id"'])
+def test_csv_writer_bytes_match_a_per_cell_csv_writer(tmp_path, label_col):
+    rng = np.random.default_rng(5)
+    x = np.vstack([EDGE_VALUES, rng.normal(size=(20, 4)) * 10.0 ** rng.integers(-8, 9, (20, 1))])
+    ds = LabeledDataset.from_arrays(x, np.arange(len(x)) % 3 + 1)
+    path = tmp_path / "edge.csv"
+    write_labeled_csv(path, ds, label_col=label_col)
+    assert path.read_bytes() == _reference_csv_bytes(ds, label_col)
+    back = read_labeled_csv(path, label_col=label_col)
+    # bit for bit, so -0.0 and the subnormal come back as written
+    assert back.x.tobytes() == ds.x.tobytes()
+    np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+def test_csv_one_feature_column_mid_label_and_float_syntax(tmp_path):
+    # float() syntax is the cell syntax: surrounding whitespace, digit
+    # underscores, a leading '+' or '.', and a signed zero
+    path = tmp_path / "syntax.csv"
+    path.write_text("a,label,b\n 1.5 ,1,1_0\n-0,2,+3e2\n\t4\t,1,.5\n")
+    ds = read_labeled_csv(path)
+    assert ds.labels.tolist() == [1, 2, 1]
+    assert ds.x.tolist() == [[1.5, 10.0], [-0.0, 300.0], [4.0, 0.5]]
+    assert np.signbit(ds.x[1, 0])
+
+    for text in ("label,g\n1,2.5\n2, 7 \n", "g,label\n2.5,1\n 7 ,2\n"):
+        path.write_text(text)
+        x, labels, header, _ = read_feature_csv(path)
+        assert x.shape == (2, 1) and x[:, 0].tolist() == [2.5, 7.0]
+        assert labels.tolist() == [1, 2] and "g" in header
+    path.write_text("g\n2.5\n1_0\n")
+    x, labels, _, _ = read_feature_csv(path)
+    assert labels is None and x[:, 0].tolist() == [2.5, 10.0]
+    path.write_text("label,g\n1,2.5\n2,ten\n")
+    with pytest.raises(CsvFormatError, match=r"row 3, column 'g': non-numeric value 'ten'"):
+        read_labeled_csv(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    # an earlier row's bad label beats a later row's bad cell
+    ("1,0.5,1.0\nq,0.5,1.0\n2,abc,1.0", r"row 3: non-integer label 'q'"),
+    # a row's first bad column is named
+    ("1,0.5,1.0\n2,zz,yy", r"row 3, column 'x1': non-numeric value 'zz'"),
+    ("1,0.5,1.0\n2,0.5,yy", r"row 3, column 'x2': non-numeric value 'yy'"),
+    # a row's bad cell beats its own bad label
+    ("1,0.5,1.0\nq,0.5,yy", r"row 3, column 'x2': non-numeric value 'yy'"),
+    # a short row beats its own bad cell
+    ("1,abc\n2,0.5,1.0", r"row 2 has 2 cells, header has 3"),
+    # a parse fault anywhere beats an earlier non-finite cell
+    ("1,nan,1.0\nq,0.5,1.0", r"row 3: non-integer label 'q'"),
+    ("1,0.5,1.0\n2,1.0,inf\n1,nan,0.0", r"row 3, column 'x2': non-finite value 'inf'"),
+    ("1,,1.0\n2,0.5,1.0", r"row 2, column 'x1': non-numeric value ''"),
+])
+def test_csv_reports_the_first_fault_of_several(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"label,x1,x2\n{rows}\n")
+    with pytest.raises(CsvFormatError, match=message):
+        read_labeled_csv(path)
+
+
+def test_csv_leading_byte_order_mark_is_accepted(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbflabel,a,b\n1,0.5,1.5\n2,1.5,0.5\n")
+    ds = read_labeled_csv(path)
+    assert ds.labels.tolist() == [1, 2]
+    assert ds.x.tolist() == [[0.5, 1.5], [1.5, 0.5]]
+    _, labels, header, _ = read_feature_csv(path)
+    assert header == ["label", "a", "b"] and labels.tolist() == [1, 2]
+    write_labeled_csv(path, ds)
+    assert path.read_bytes().startswith(b"label,x1,x2\n")  # writers add no mark

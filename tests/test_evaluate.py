@@ -144,14 +144,43 @@ def test_tune_delta_refuses_an_empty_grid():
 def test_tune_delta_single_candidate_is_returned_without_fitting(monkeypatch):
     import ndc.evaluate
 
-    def no_fit(ds, delta):
+    def no_fit(ds, deltas):
         raise AssertionError("a single candidate needs no nested fit")
 
-    monkeypatch.setattr(ndc.evaluate, "nsc_fit", no_fit)
+    monkeypatch.setattr(ndc.evaluate, "nsc_fit_grid", no_fit)
     ds = LabeledDataset.from_arrays(np.arange(24.0).reshape(12, 2), [1] * 6 + [2] * 6)
     delta, errors = tune_delta(ds, 0, 1)
     assert delta == 0.0
     assert list(errors) == [0.0] and math.isnan(errors[0.0])
+
+
+def test_tune_delta_fails_every_threshold_on_a_degenerate_nested_fold():
+    import ndc.evaluate
+    from ndc.baselines import nsc_fit, nsc_predict_many
+
+    # every row but one equals its class's constant, so the nested fold
+    # that holds that row out has zero pooled sd everywhere
+    x = np.repeat([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]], 9, axis=0)
+    x[0] += [0.5, -0.25, 1.0]
+    ds = LabeledDataset.from_arrays(x, [1] * 9 + [2] * 9)
+    grid = [float(d) for d in ndc.evaluate.nsc_delta_grid(ds, size=5)]
+    nested = CvConfig(folds=ndc.evaluate.NESTED_FOLDS,
+                      seed=ndc.rng.child_seed(11, "nested-delta"))
+    expected = {delta: [] for delta in grid}
+    failed = []
+    for f, (tr, va) in enumerate(k_fold_split(ds, nested)):
+        data = ndc.evaluate._subset(ds, tr)
+        for delta in grid:
+            try:
+                model = nsc_fit(data, delta)
+            except ValueError:
+                failed.append(f)
+                continue
+            expected[delta].append(misclassification_rate(nsc_predict_many(model, ds.x[va]),
+                                                          ds.labels[va]))
+    assert len(failed) == len(grid) and len(set(failed)) == 1  # one fold, every threshold
+    _, errors = tune_delta(ds, 11, 5)
+    assert errors == {delta: float(np.mean(errs)) for delta, errs in expected.items()}
 
 
 def test_tuning_builds_each_nested_training_set_once(monkeypatch):
