@@ -144,8 +144,9 @@ def load_model(path) -> NdcModel:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("model file must hold a JSON object")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if not (_is_int(version) and version == MODEL_FORMAT_VERSION):
+        raise ValueError(f"unsupported model format version {version!r}")
     missing = [key for key in ("k", "p", "has_special", "partition", "centroids")
                if key not in doc]
     if missing:
@@ -165,6 +166,8 @@ def load_model(path) -> NdcModel:
             raise ValueError(f"model partition slot {pos} must hold integer feature indices")
         if any(b <= a for a, b in zip(g, g[1:])):
             raise ValueError(f"model partition slot {pos} must list its indices in increasing order")
+        if g and not (1 <= g[0] and g[-1] <= p):
+            raise ValueError(f"model partition slot {pos}: feature index out of range 1..{p}")
         if not (isinstance(c, list) and all(_is_number(v) for v in c)):
             raise ValueError(f"model centroid slot {pos} must hold numbers")
         want = 0 if has_special and pos == 0 else len(g)

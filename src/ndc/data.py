@@ -285,6 +285,10 @@ def _read_csv(path, label_col, require_labels):
                 raise CsvFormatError(
                     f"{path}: row {lines[r]}: non-integer label {row[label_idx]!r}"
                 ) from None
+            except OverflowError:  # an integer beyond int64
+                raise CsvFormatError(
+                    f"{path}: row {lines[r]}: label {row[label_idx]!r} out of range"
+                ) from None
     finite = np.isfinite(x)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]

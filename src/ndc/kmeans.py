@@ -29,9 +29,11 @@ lane carries its own ``lam``; at ``lam = inf`` group 0's distance is
 inf, so it stays empty and the lane is the no-selection fit.  One queue
 may therefore mix the restarts of several multipliers: `fit_grid` runs
 every candidate of a tuning grid over one `FitData`, and `fit_best` is
-its one-config case.  A Lloyd step of all live lanes is one Gram
-product for the distances and one one-hot product for the centers, so
-the Python work per step does not grow with the number of restarts.  A
+its one-config case.  A Lloyd step of all live lanes is one one-hot
+product for the centers and one kernel call for the distances, so the
+Python work per step does not grow with the number of restarts.  On tall
+data (k * p < n) `FitData` holds Gram matrices instead of the data, and
+a step costs O(p^2) per center instead of O(n p); see `FitData.of`.  A
 lane leaves when its labels repeat or after `MAX_ITERS` steps.  A lane
 whose initialization leaves a cluster empty, or whose class group
 empties during the alternation, draws a fresh initialization from its
@@ -122,25 +124,88 @@ class ClusterCenters:
 
 @dataclass(frozen=True)
 class FitData:
-    """Per-dataset quantities that every lane of a fit shares.
+    """Per-dataset quantities that every lane of a fit shares, in one of
+    two forms that `of` picks from the shapes.
 
-    ``points`` is the transposed data matrix (one row per feature) and
-    ``point_sq`` the squared norms of those rows.  ``class_x[j]`` holds
-    the rows of class j + 1 as one contiguous block, in their original
-    order, and ``class_sq[j]`` the squared norms of its columns.
+    A group's center is the mean of its member features: the product of a
+    one-hot with ``points`` (one row per feature) or with ``class_x[j]``
+    (one column per feature, for the rows of class j + 1), over the
+    group's size.  ``point_sq`` and ``class_sq[j]`` are the features'
+    squared norms on all rows and on class j + 1's, and ``n_rows`` holds
+    n, n_1, ..., n_k, which scale the dn-distances.
+
+    - Direct form: ``points`` is the transposed data matrix and
+      ``class_x[j]`` holds the rows of class j + 1 as one contiguous block,
+      in their original order, so a center is its coordinates on the rows.
+    - Gram form (``gram``): ``points`` is the Gram matrix X^T X of the
+      features and ``class_x[j]`` the Gram matrix of class j + 1's rows.
+      Both are symmetric p x p, so the same products give a center's inner
+      products with every feature.  A center is then a weight vector over
+      the features, carried as those products, and is never formed on the
+      rows.
+
+    `center_sq` and `sq_distances_to` are the only code that reads the form.
     """
 
     points: np.ndarray
     point_sq: np.ndarray
     class_x: tuple[np.ndarray, ...]
     class_sq: tuple[np.ndarray, ...]
+    n_rows: tuple[int, ...]
+    gram: bool
 
     @classmethod
     def of(cls, ds: LabeledDataset) -> "FitData":
+        """The form that costs less on ``ds``'s shape.
+
+        A distance or center step over m centers costs m * p * n
+        multiply-adds in the direct form on all rows and m * p * n_j on
+        class j's rows, against m * p * p in the Gram form on either.  So
+        the all-row products pay when p < n, and the class products, with
+        n_j about n / k, when k * p < n.  Then the (k + 1) * p * p floats of
+        the Gram matrices are also less than twice the data.
+        """
+        if ds.k * ds.p >= ds.n:
+            return cls.direct(ds)
+        grams = tuple(xs.T @ xs for xs in class_blocks(ds))
+        gram = sum(grams)
+        return cls(gram, np.diagonal(gram).copy(), grams,
+                   tuple(np.diagonal(g).copy() for g in grams), _n_rows(ds), gram=True)
+
+    @classmethod
+    def direct(cls, ds: LabeledDataset) -> "FitData":
+        """The direct form, whatever the shape.  `ClusterCenters` holds
+        coordinates, so the one-lane steps that take or return centers
+        use it."""
         points = np.ascontiguousarray(ds.x.T)
         class_x = class_blocks(ds)
         return cls(points, row_sq_norms(points), class_x,
-                   tuple(row_sq_norms(xs.T) for xs in class_x))
+                   tuple(row_sq_norms(xs.T) for xs in class_x), _n_rows(ds), gram=False)
+
+    def center_sq(self, centers: np.ndarray, onehot: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """The squared norms of ``centers``, one center per row, each the
+        mean of the ``sizes`` features in its ``onehot`` row.  In the Gram
+        form that is the mean of the center's products with its members."""
+        if not self.gram:
+            return row_sq_norms(centers)
+        return np.einsum("ij,ij->i", onehot, centers) / sizes
+
+    def sq_distances_to(self, group: int, centers: np.ndarray, centers_sq: np.ndarray) -> np.ndarray:
+        """The (p x centers) squared distances from every feature to
+        ``centers``, one per row with squared norms ``centers_sq``, on
+        ``group``'s rows: all rows for group 0, class j's for group j."""
+        point_sq = self.point_sq if group == 0 else self.class_sq[group - 1]
+        if not self.gram:
+            points = self.points if group == 0 else self.class_x[group - 1].T
+            return sq_distances(points, point_sq, centers, centers_sq)
+        d2 = centers.T * -2.0  # each center's row holds its products with the features
+        d2 += point_sq[:, None]
+        d2 += centers_sq[None, :]
+        return np.maximum(d2, 0.0, out=d2)
+
+
+def _n_rows(ds: LabeledDataset) -> tuple[int, ...]:
+    return (ds.n, *(len(xs) for xs in class_blocks(ds)))
 
 
 def _onehot(labels: np.ndarray, n_labels: int) -> np.ndarray:
@@ -172,20 +237,22 @@ def _partition(labels: np.ndarray, k: int, has_special: bool) -> FeaturePartitio
                             has_special=has_special)
 
 
-def _seed_lanes(points: np.ndarray, point_sq: np.ndarray, n_clusters: int,
+def _seed_lanes(fit_data: FitData, n_clusters: int,
                 streams: list[np.random.Generator]) -> np.ndarray:
-    """k-means++ seeds of every lane, as a (lanes x n_clusters x dim) array.
+    """k-means++ seeds of every lane, as the (lanes x n_clusters) indices
+    of the features drawn.
 
     Each lane draws from its own stream exactly as a lone run would; the
-    distances of all lanes' newest seeds are one product.
+    distances of all lanes' newest seeds are one kernel call.
     """
+    points, point_sq = fit_data.points, fit_data.point_sq
     n = len(points)
     if n_clusters > n:
         raise ValueError("more clusters than points")
+    seeds = np.empty((len(streams), n_clusters), dtype=np.intp)
     idx = np.array([stream.integers(n) for stream in streams])
-    centers = np.empty((len(streams), n_clusters, points.shape[1]))
-    centers[:, 0] = points[idx]
-    d2 = sq_distances(points, point_sq, points[idx], point_sq[idx])
+    seeds[:, 0] = idx
+    d2 = fit_data.sq_distances_to(0, points[idx], point_sq[idx])
     for j in range(1, n_clusters):
         for lane, stream in enumerate(streams):
             total = d2[:, lane].sum()
@@ -193,36 +260,41 @@ def _seed_lanes(points: np.ndarray, point_sq: np.ndarray, n_clusters: int,
                 idx[lane] = stream.choice(n, p=d2[:, lane] / total)
             else:
                 idx[lane] = stream.integers(n)
-        centers[:, j] = points[idx]
-        d2 = np.minimum(d2, sq_distances(points, point_sq, points[idx], point_sq[idx]))
-    return centers
+        seeds[:, j] = idx
+        d2 = np.minimum(d2, fit_data.sq_distances_to(0, points[idx], point_sq[idx]))
+    return seeds
 
 
-def _lloyd_lanes(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Standard Lloyd iterations of every lane from its seeds.
+def _lloyd_lanes(fit_data: FitData, seeds: np.ndarray) -> np.ndarray:
+    """Standard Lloyd iterations of every lane from the seed features that
+    `_seed_lanes` drew.
 
     Returns the (lanes x n_points) labels.  A lane stops when its labels
     repeat or after `MAX_ITERS` steps; an emptied cluster keeps its
     previous center.
     """
+    points = fit_data.points
+    centers, centers_sq = points[seeds], fit_data.point_sq[seeds]
     n_clusters, dim = centers.shape[1:]
     labels = np.empty((len(centers), len(points)), dtype=np.intp)
     live = np.arange(len(centers))
     current = None
     for it in range(MAX_ITERS):
-        flat = centers.reshape(-1, dim)
-        dist = sq_distances(points, point_sq, flat, row_sq_norms(flat))
+        dist = fit_data.sq_distances_to(0, centers.reshape(-1, dim), centers_sq.ravel())
         new = dist.reshape(len(points), len(live), n_clusters).argmin(axis=2).T
         labels[live] = new
         if current is not None:
             moved = (new != current).any(axis=1)
-            live, new, centers = live[moved], new[moved], centers[moved]
+            live, new = live[moved], new[moved]
+            centers, centers_sq = centers[moved], centers_sq[moved]
         if not len(live) or it == MAX_ITERS - 1:
             break
         onehot = _onehot(new, n_clusters)
-        sizes = onehot.sum(axis=2)[:, :, None]
+        sizes = onehot.sum(axis=2)
+        filled = sizes > 0
         sums = (onehot.reshape(-1, len(points)) @ points).reshape(centers.shape)
-        np.divide(sums, sizes, out=centers, where=sizes > 0)
+        np.divide(sums, sizes[:, :, None], out=centers, where=filled[:, :, None])
+        centers_sq[filled] = fit_data.center_sq(centers[filled], onehot[filled], sizes[filled])
         current = new
     return labels
 
@@ -237,8 +309,7 @@ def _init_lanes(fit_data: FitData, selection: bool,
     Returns ``(labels, ok)``; ``ok`` is False in a lane whose k-means left
     a cluster empty."""
     n_clusters = len(fit_data.class_x) + selection
-    centers = _seed_lanes(fit_data.points, fit_data.point_sq, n_clusters, streams)
-    labels = _lloyd_lanes(fit_data.points, fit_data.point_sq, centers)
+    labels = _lloyd_lanes(fit_data, _seed_lanes(fit_data, n_clusters, streams))
     sizes = _group_sizes(labels, n_clusters)
     # no label equals n_clusters, so without selection every cluster moves up
     special = sizes.argmax(axis=1)[:, None] if selection else n_clusters
@@ -247,40 +318,49 @@ def _init_lanes(fit_data: FitData, selection: bool,
 
 
 def _lane_centers(fit_data: FitData, labels: np.ndarray):
-    """Every lane's alternation centers, as one-hot products.
+    """Every lane's alternation centers, as one-hot products (see
+    `FitData`), with their squared norms.
 
-    Returns ``(special, classes)``.  ``classes[j - 1]`` is the (n_j x
-    lanes) matrix of class j's centers on its rows.  ``special`` is the
-    (n x lanes) matrix of m_0 on all rows, NaN in a lane whose I_0 is
-    empty, or None when I_0 is empty in every lane.
+    Returns ``(special, classes)``; each center set is a pair ``(m,
+    m_sq)`` of one lane's center per column of ``m`` and their squared
+    norms.  ``classes[j - 1]`` holds class j's centers, on its rows in the
+    direct form.  ``special`` holds m_0, on all rows in the direct form;
+    both are NaN in a lane whose I_0 is empty, and ``special`` is None
+    when I_0 is empty in every lane.
     """
     onehot = _onehot(labels, len(fit_data.class_x) + 1)
     sizes = onehot.sum(axis=2)
-    classes = tuple(xs @ onehot[:, j].T / sizes[:, j]
-                    for j, xs in enumerate(fit_data.class_x, start=1))
+    classes = []
+    for j, xs in enumerate(fit_data.class_x, start=1):
+        m = xs @ onehot[:, j].T / sizes[:, j]
+        classes.append((m, fit_data.center_sq(m.T, onehot[:, j], sizes[:, j])))
     special = None
-    if sizes[:, 0].any():
+    present = sizes[:, 0] > 0
+    if present.any():
         sums = fit_data.points.T @ onehot[:, 0].T
-        special = np.divide(sums, sizes[:, 0], out=np.full_like(sums, np.nan),
-                            where=sizes[:, 0] > 0)
-    return special, classes
+        m0 = np.divide(sums, sizes[:, 0], out=np.full_like(sums, np.nan), where=present)
+        m0_sq = np.full(len(labels), np.nan)
+        m0_sq[present] = fit_data.center_sq(m0[:, present].T, onehot[present, 0],
+                                            sizes[present, 0])
+        special = m0, m0_sq
+    return special, tuple(classes)
 
 
-def _lane_distances(fit_data: FitData, special: np.ndarray | None,
-                    classes: tuple[np.ndarray, ...], lam: np.ndarray) -> np.ndarray:
+def _lane_distances(fit_data: FitData, special, classes, lam: np.ndarray) -> np.ndarray:
     """The (groups x p x lanes) dn-distances that the assign step
-    minimizes over: each feature's distance to each lane's centers on
-    their rows.  Each lane's special row is scaled by its own ``lam`` and
-    is inf where that ``lam`` is inf or the lane's m_0 is absent (None or
-    NaN); such a lane forms no m_0 product, so no inf meets a 0."""
-    dist = np.full((len(classes) + 1, len(fit_data.points), classes[0].shape[1]), np.inf)
+    minimizes over: each feature's distance to each lane's centers, given
+    as `_lane_centers` gives them, on their rows.  Each lane's special row
+    is scaled by its own ``lam`` and is inf where that ``lam`` is inf or
+    the lane's m_0 is absent (None or NaN); such a lane forms no m_0
+    product, so no inf meets a 0."""
+    dist = np.full((len(classes) + 1, len(fit_data.points), len(lam)), np.inf)
     if special is not None:
-        present = np.isfinite(lam) & ~np.isnan(special[0])
-        m0 = special[:, present].T
-        d2 = sq_distances(fit_data.points, fit_data.point_sq, m0, row_sq_norms(m0))
-        dist[0][:, present] = lam[present] * np.sqrt(d2 / len(special))
-    for d, xs, xs_sq, m in zip(dist[1:], fit_data.class_x, fit_data.class_sq, classes):
-        d[:] = np.sqrt(sq_distances(xs.T, xs_sq, m.T, row_sq_norms(m.T)) / len(m))
+        m0, m0_sq = special
+        present = np.isfinite(lam) & ~np.isnan(m0_sq)
+        d2 = fit_data.sq_distances_to(0, m0[:, present].T, m0_sq[present])
+        dist[0][:, present] = lam[present] * np.sqrt(d2 / fit_data.n_rows[0])
+    for j, (d, (m, m_sq)) in enumerate(zip(dist[1:], classes), start=1):
+        d[:] = np.sqrt(fit_data.sq_distances_to(j, m.T, m_sq) / fit_data.n_rows[j])
     return dist
 
 
@@ -315,13 +395,13 @@ def _refine_lanes(fit_data: FitData, labels: np.ndarray,
 def _lane_width(fit_data: FitData) -> int:
     """How many lanes fit `LANE_BYTES`, and at least one.
 
-    A lane's largest arrays hold k + 1 float64 rows of length n or p: the
-    alternation's (groups x p) distances and one-hot, the init k-means'
-    (clusters x p) one-hot and distances, and its k-means++ seeds, each
-    a (clusters x n) block.
+    A lane's largest arrays hold k + 1 float64 rows of length p or of the
+    form's center length (n in the direct form, p in the Gram form): the
+    alternation's (groups x p) distances and one-hot, its centers, and the
+    init k-means' (clusters x p) one-hot and distances and its centers.
     """
-    p, n = fit_data.points.shape
-    return max(1, LANE_BYTES // (8 * (len(fit_data.class_x) + 1) * max(n, p)))
+    p, dim = fit_data.points.shape
+    return max(1, LANE_BYTES // (8 * (len(fit_data.class_x) + 1) * max(dim, p)))
 
 
 def _fit_lanes(fit_data: FitData, restarts):
@@ -389,19 +469,23 @@ def _check_class_groups(part: FeaturePartition) -> None:
 def update_centers(ds: LabeledDataset, part: FeaturePartition) -> ClusterCenters:
     """Recompute the alternation centers for the current partition."""
     _check_class_groups(part)
-    special, classes = _lane_centers(FitData.of(ds), _labels(part, ds.p)[None])
-    centers = [m[:, 0] for m in classes]
+    special, classes = _lane_centers(FitData.direct(ds), _labels(part, ds.p)[None])
+    centers = [m[:, 0] for m, _ in classes]
     if part.has_special:
-        centers.insert(0, None if special is None else special[:, 0])
+        centers.insert(0, None if special is None else special[0][:, 0])
     return ClusterCenters(tuple(centers), has_special=part.has_special)
 
 
-def _dn_distances(fit_data: FitData, centers: ClusterCenters, lam: float) -> np.ndarray:
+def _dn_distances(ds: LabeledDataset, centers: ClusterCenters, lam: float) -> np.ndarray:
     """The (p x groups) matrix that `assign_rows` minimizes over, for one
-    lane's centers; the special column is inf without m_0."""
+    lane's centers, in the direct form; the special column is inf without
+    m_0."""
+    def column(m):
+        return m[:, None], row_sq_norms(m[None])
+
     m0, *classes = centers.centers if centers.has_special else (None, *centers.centers)
-    dist = _lane_distances(fit_data, None if m0 is None else m0[:, None],
-                           tuple(m[:, None] for m in classes), np.array([lam]))
+    dist = _lane_distances(FitData.direct(ds), None if m0 is None else column(m0),
+                           tuple(map(column, classes)), np.array([lam]))
     return dist[int(not centers.has_special):, :, 0].T
 
 
@@ -414,7 +498,7 @@ def assign_rows(ds: LabeledDataset, centers: ClusterCenters, lam: float) -> Feat
     special group being index 0.
     """
     _check_lam(lam)
-    assignment = _dn_distances(FitData.of(ds), centers, lam).argmin(axis=1)
+    assignment = _dn_distances(ds, centers, lam).argmin(axis=1)
     return _partition(assignment + (not centers.has_special), ds.k, centers.has_special)
 
 

@@ -266,6 +266,10 @@ def test_load_model_accepts_valid_document(tmp_path):
     (lambda d: d["centroids"].__setitem__(0, [1.0]), "1 values, expected 0"),
     (lambda d: d.__setitem__("lambda", -1.0), "lambda"),
     (lambda d: d["partition"].__setitem__(1, [4]), "out of range"),
+    (lambda d: d["partition"].__setitem__(2, [0, 2]), "slot 2: feature index out of range 1..3"),
+    (lambda d: d["partition"].__setitem__(1, [10**30]), "slot 1: feature index out of range"),
+    (lambda d: d.update(format_version=True), "format version True"),
+    (lambda d: d.update(format_version=1.0), "format version 1.0"),
 ])
 def test_load_model_rejects_bad_document(tmp_path, change, message):
     import json

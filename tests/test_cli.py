@@ -219,6 +219,27 @@ def test_predict_model_without_has_special_exit_2(tmp_path, toy_csv, capsys):
     assert "has_special" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("index", [10**30, -(10**30)])
+def test_predict_model_index_beyond_int64_exit_2(tmp_path, toy_csv, capsys, index):
+    model = tmp_path / "model.json"
+    main(["fit", str(toy_csv), "--restarts", "3", "--seed", "1", "--out", str(model)])
+    doc = json.loads(model.read_text())
+    doc["partition"][1] = sorted(doc["partition"][1] + [index])
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["predict", str(model), str(toy_csv), "--out", str(tmp_path / "p.csv")]) == 2
+    assert "partition slot 1: feature index out of range 1..2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["1" + "0" * 30, "-" + "9" * 20])
+def test_fit_label_beyond_int64_exit_2(tmp_path, capsys, label):
+    data = tmp_path / "big.csv"
+    data.write_text(f"label,x1,x2\n1,0.0,5.0\n{label},1.0,4.0\n2,5.0,0.0\n")
+    assert main(["fit", str(data), "--out", str(tmp_path / "m.json")]) == 2
+    assert f"row 3: label '{label}' out of range" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_predict_ignores_special_group_columns(tmp_path):
     rng = np.random.default_rng(60)
     ds = LabeledDataset.from_arrays(rng.normal(size=(6, 3)), [1, 1, 1, 2, 2, 2])

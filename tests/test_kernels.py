@@ -9,7 +9,7 @@ relative tolerance fixed from float64 rounding, and labels exactly.
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import block_dataset, random_dataset
@@ -21,6 +21,8 @@ from ndc.kmeans import (
     ClusterCenters,
     FitData,
     _dn_distances,
+    _lane_centers,
+    _lane_distances,
     _lloyd_lanes,
     _seed_lanes,
     assign_rows,
@@ -128,12 +130,12 @@ def test_kmeans_lanes_match_reference():
         ds = block_dataset(rng, k=3, n_per_class=int(rng.integers(5, 40)),
                            d=int(rng.integers(2, 6)), sigma2=1.8, r=int(rng.integers(0, 8)))
         points = np.ascontiguousarray(ds.x.T)
-        point_sq = row_sq_norms(points)
         n_clusters = int(rng.integers(1, min(6, len(points)) + 1))
-        seeds = _seed_lanes(points, point_sq, n_clusters, [rngmod.generator(trial, "km")])
-        got = _lloyd_lanes(points, point_sq, seeds)[0]
         want = ref_kmeans_rows(points, n_clusters, rngmod.generator(trial, "km"))
-        np.testing.assert_array_equal(got, want)
+        for fd in (FitData.of(ds), FitData.direct(ds)):
+            seeds = _seed_lanes(fd, n_clusters, [rngmod.generator(trial, "km")])
+            got = _lloyd_lanes(fd, seeds)[0]
+            np.testing.assert_array_equal(got, want)
 
 
 def test_assign_distances_match_reference():
@@ -144,7 +146,7 @@ def test_assign_distances_match_reference():
         part = init_partition(ds, n_groups, rngmod.generator(trial, "assign"))
         centers = update_centers(ds, part)
         for lam in (0.7, 1.3, math.inf):
-            got = _dn_distances(FitData.of(ds), centers, lam)
+            got = _dn_distances(ds, centers, lam)
             want = ref_dn_distances(ds, centers, lam)
             np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
             finite = np.isfinite(want)
@@ -160,6 +162,64 @@ def test_assign_distances_match_reference():
             clear = want > 0.1
             assert clear.mean() > 0.5
             np.testing.assert_allclose(got[clear], want[clear], rtol=1e-12, atol=0)
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3]))
+def test_gram_form_distances_match_the_direct_form(seed, k):
+    # tall data (k * p < n): the Gram form's k-means and alternation
+    # distances against the direct form's, with the floor and tolerance
+    # of test_assign_distances_match_reference
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(k + 1, 12))
+    ds = random_dataset(rng, k=k, p=p, n_per_class=int(rng.integers(p + 1, 4 * p)))
+    gram, direct = FitData.of(ds), FitData.direct(ds)
+    assert gram.gram and not direct.gram
+    floor = 4 * ds.n * np.finfo(float).eps * 2 * (ds.x ** 2).max()
+
+    def assert_close(got, want, lam_sq=1.0):
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        got, want = got[np.isfinite(want)], want[np.isfinite(want)]
+        np.testing.assert_allclose(got ** 2, want ** 2, rtol=1e-12, atol=floor * lam_sq)
+        clear = want ** 2 > 1e3 * floor * lam_sq
+        assert clear.mean() > 0.5
+        np.testing.assert_allclose(got[clear], want[clear], rtol=1e-12, atol=0)
+
+    # k-means: every group's mean, and a lone feature, over all rows
+    labels = rng.permutation(np.arange(p) % (k + 1))
+    onehot = (labels == np.arange(k + 1)[:, None]).astype(float)
+    onehot = np.vstack([onehot, np.eye(p)[[int(rng.integers(p))]]])
+    sizes = onehot.sum(axis=1)
+    d2 = []
+    for fd in (gram, direct):
+        centers = onehot @ fd.points / sizes[:, None]
+        d2.append(fd.sq_distances_to(0, centers, fd.center_sq(centers, onehot, sizes)))
+    assert_close(np.sqrt(d2[0]), np.sqrt(d2[1]))
+    # the alternation: lanes with and without a special group, at three
+    # multipliers and none
+    lanes = np.array([rng.permutation(np.arange(p) % (k + 1)) for _ in range(3)]
+                     + [rng.permutation(np.arange(p) % k) + 1])
+    lam = np.array([0.7, 1.3, 1.0, math.inf])
+    got, want = (_lane_distances(fd, *_lane_centers(fd, lanes), lam) for fd in (gram, direct))
+    for group in range(k + 1):
+        assert_close(got[group], want[group], 1.3 ** 2 if group == 0 else 1.0)
+
+
+def test_wide_data_keeps_the_direct_form():
+    # wide-cv's shape: k = 3 and 1000 features on 40 training rows, 27 in
+    # a nested fold; the direct form holds the data as it is
+    rng = np.random.default_rng(105)
+    for n in (27, 40):
+        ds = LabeledDataset.from_arrays(rng.normal(size=(n, 1000)), np.arange(n) % 3 + 1)
+        fd = FitData.of(ds)
+        assert not fd.gram
+        np.testing.assert_array_equal(fd.points, ds.x.T)
+        for xs, block in zip(fd.class_x, ds.class_x):
+            assert xs is block
+    # the Gram form starts at k * p < n
+    for n, gram in ((10, False), (11, True)):
+        ds = LabeledDataset.from_arrays(rng.normal(size=(n, 5)), np.arange(n) % 2 + 1)
+        assert FitData.of(ds).gram == gram
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9))

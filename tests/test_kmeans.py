@@ -133,7 +133,7 @@ def ref_lloyd_fit(ds, fd, config, rng):
 def ref_fit_best(ds, config):
     """Every restart's ``(groups or None, attempts, training error)`` and
     the winner's index, ties to the earliest restart."""
-    fd = FitData.of(ds)
+    fd = FitData.direct(ds)
     runs, winner = [], None
     for r in range(config.restarts):
         groups, attempts = ref_lloyd_fit(ds, fd, config,
@@ -422,7 +422,7 @@ def test_duplicate_features_exhaust_restarts(monkeypatch):
     monkeypatch.setattr(ndc.kmeans, "MAX_ATTEMPTS", 7)
     with pytest.raises(FitFailedError, match="gave up after 7 attempts"):
         lloyd_fit(ds, config.lam, rngmod.generator(0, "dup"))
-    assert ref_lloyd_fit(ds, FitData.of(ds), config, rngmod.generator(0, "dup")) == (None, 7)
+    assert ref_lloyd_fit(ds, FitData.direct(ds), config, rngmod.generator(0, "dup")) == (None, 7)
     monkeypatch.setattr(ndc.kmeans, "MAX_ATTEMPTS", 5)
     config = FitConfig(restarts=3)
     with pytest.raises(FitFailedError) as want:
@@ -518,9 +518,13 @@ def test_lockstep_fit_matches_reference_at_one_iteration(monkeypatch):
 
 
 def set_lane_width(monkeypatch, ds, lanes):
-    """Set `LANE_BYTES` so that fits on ``ds`` run ``lanes`` lanes at a time."""
-    monkeypatch.setattr(ndc.kmeans, "LANE_BYTES", lanes * 8 * (ds.k + 1) * max(ds.n, ds.p))
-    assert ndc.kmeans._lane_width(FitData.of(ds)) == lanes
+    """Set `LANE_BYTES` so that fits on ``ds`` run ``lanes`` lanes at a time:
+    a lane's largest arrays hold k + 1 rows of max(n, p) floats in the
+    direct form and of p in the Gram form."""
+    fd = FitData.of(ds)
+    length = ds.p if fd.gram else max(ds.n, ds.p)
+    monkeypatch.setattr(ndc.kmeans, "LANE_BYTES", lanes * 8 * (ds.k + 1) * length)
+    assert ndc.kmeans._lane_width(fd) == lanes
 
 
 def test_lockstep_fit_matches_reference_through_empty_group_retries(monkeypatch):
@@ -563,10 +567,15 @@ def test_lane_width_follows_the_byte_budget(monkeypatch):
     # 4 x 20 000 float64, so the default budget runs 8 lanes
     ds = LabeledDataset.from_arrays(np.eye(6, 20_000), [1, 1, 2, 2, 3, 3])
     assert ndc.kmeans._lane_width(FitData.of(ds)) == 8
-    # with more rows than features the k-means++ seeds, (k + 1) x n per
-    # lane, are the largest
-    tall = LabeledDataset.from_arrays(np.eye(4000, 3), [1, 2, 3] * 1333 + [1])
-    assert ndc.kmeans._lane_width(FitData.of(tall)) == ndc.kmeans.LANE_BYTES // (8 * 4 * 4000)
+    # with more rows than features, in the direct form, the k-means
+    # centers, (k + 1) x n per lane, are the largest
+    tall = LabeledDataset.from_arrays(np.eye(8, 3), [1, 2, 3] * 2 + [1, 2])
+    assert not FitData.of(tall).gram
+    assert ndc.kmeans._lane_width(FitData.of(tall)) == ndc.kmeans.LANE_BYTES // (8 * 4 * 8)
+    # once k * p < n the Gram form holds every lane's arrays at length p
+    taller = LabeledDataset.from_arrays(np.eye(4000, 3), [1, 2, 3] * 1333 + [1])
+    assert FitData.of(taller).gram
+    assert ndc.kmeans._lane_width(FitData.of(taller)) == ndc.kmeans.LANE_BYTES // (8 * 4 * 3)
     # a lane over the budget still runs, alone
     monkeypatch.setattr(ndc.kmeans, "LANE_BYTES", 8 * 4 * 20_000 - 1)
     assert ndc.kmeans._lane_width(FitData.of(ds)) == 1

@@ -2,10 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dataset
+from conftest import block_dataset, random_dataset
 from ndc import oracle
 from ndc import rng as rngmod
 from ndc.classifier import NdcModel, compute_centroids, empirical_risk
@@ -323,6 +323,22 @@ def test_exact_partition_permutes_with_features(seed, k):
     permuted = LabeledDataset.from_arrays(ds.x[:, order], ds.labels)
     part, w_star = brute_force_minimizer(ds)
     part_p, w_star_p = brute_force_minimizer(permuted)
+    assert [sorted(order[g].tolist()) for g in part_p.groups] == groups(part)
+    assert w_star_p == pytest.approx(w_star, rel=1e-12)
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3]), d=st.integers(1, 3),
+       r=st.integers(0, 2), n_per_class=st.integers(2, 12))
+def test_exact_block_partition_permutes_with_the_columns(seed, k, d, r, n_per_class):
+    # block data, each class with its own d columns beside r noise columns,
+    # and at most 3^7 assignments; the data are continuous, so no two tie
+    d = min(d, 7 // k)
+    ds = block_dataset(np.random.default_rng(seed), k=k, n_per_class=n_per_class, d=d,
+                       r=min(r, 7 - k * d))
+    order = np.random.default_rng(seed + 1).permutation(ds.p)
+    part, w_star = brute_force_minimizer(ds)
+    part_p, w_star_p = brute_force_minimizer(LabeledDataset.from_arrays(ds.x[:, order], ds.labels))
     assert [sorted(order[g].tolist()) for g in part_p.groups] == groups(part)
     assert w_star_p == pytest.approx(w_star, rel=1e-12)
 
