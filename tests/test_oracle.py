@@ -314,31 +314,22 @@ def test_consistency_experiment_small_deterministic():
     assert "np.float64" not in lines[1]  # plain decimal text, not scalar reprs
 
 
-@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3]))
-def test_exact_partition_permutes_with_features(seed, k):
-    # continuous data: no two assignments tie
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3]), blocks=st.booleans())
+def test_exact_partition_permutes_with_features(seed, k, blocks):
+    # continuous data, unstructured or with each class's own block of
+    # columns beside noise columns: no two assignments tie
     rng = np.random.default_rng(seed)
-    ds = random_dataset(rng, k=k, p=int(rng.integers(k, 9 if k == 2 else 7)))
+    if blocks:
+        d = int(rng.integers(1, 7 // k + 1))
+        ds = block_dataset(rng, k=k, n_per_class=int(rng.integers(2, 12)), d=d,
+                           r=int(rng.integers(0, 7 - k * d + 1)))
+    else:
+        ds = random_dataset(rng, k=k, p=int(rng.integers(k, 9 if k == 2 else 7)))
     order = rng.permutation(ds.p)
     permuted = LabeledDataset.from_arrays(ds.x[:, order], ds.labels)
     part, w_star = brute_force_minimizer(ds)
     part_p, w_star_p = brute_force_minimizer(permuted)
-    assert [sorted(order[g].tolist()) for g in part_p.groups] == groups(part)
-    assert w_star_p == pytest.approx(w_star, rel=1e-12)
-
-
-@settings(max_examples=25)
-@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3]), d=st.integers(1, 3),
-       r=st.integers(0, 2), n_per_class=st.integers(2, 12))
-def test_exact_block_partition_permutes_with_the_columns(seed, k, d, r, n_per_class):
-    # block data, each class with its own d columns beside r noise columns,
-    # and at most 3^7 assignments; the data are continuous, so no two tie
-    d = min(d, 7 // k)
-    ds = block_dataset(np.random.default_rng(seed), k=k, n_per_class=n_per_class, d=d,
-                       r=min(r, 7 - k * d))
-    order = np.random.default_rng(seed + 1).permutation(ds.p)
-    part, w_star = brute_force_minimizer(ds)
-    part_p, w_star_p = brute_force_minimizer(LabeledDataset.from_arrays(ds.x[:, order], ds.labels))
     assert [sorted(order[g].tolist()) for g in part_p.groups] == groups(part)
     assert w_star_p == pytest.approx(w_star, rel=1e-12)
 
