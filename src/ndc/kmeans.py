@@ -185,10 +185,12 @@ class FitData:
     def center_sq(self, centers: np.ndarray, onehot: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """The squared norms of ``centers``, one center per row, each the
         mean of the ``sizes`` features in its ``onehot`` row.  In the Gram
-        form that is the mean of the center's products with its members."""
+        form that is the mean of the center's products with its members,
+        NaN for a center without members."""
         if not self.gram:
             return row_sq_norms(centers)
-        return np.einsum("ij,ij->i", onehot, centers) / sizes
+        dots = np.einsum("ij,ij->i", onehot, centers)
+        return np.divide(dots, sizes, out=np.full_like(dots, np.nan), where=sizes > 0)
 
     def sq_distances_to(self, group: int, centers: np.ndarray, centers_sq: np.ndarray) -> np.ndarray:
         """The (p x centers) squared distances from every feature to
@@ -289,12 +291,13 @@ def _lloyd_lanes(fit_data: FitData, seeds: np.ndarray) -> np.ndarray:
             centers, centers_sq = centers[moved], centers_sq[moved]
         if not len(live) or it == MAX_ITERS - 1:
             break
-        onehot = _onehot(new, n_clusters)
-        sizes = onehot.sum(axis=2)
+        onehot = _onehot(new, n_clusters).reshape(-1, len(points))
+        sizes = onehot.sum(axis=1)
         filled = sizes > 0
-        sums = (onehot.reshape(-1, len(points)) @ points).reshape(centers.shape)
-        np.divide(sums, sizes[:, :, None], out=centers, where=filled[:, :, None])
-        centers_sq[filled] = fit_data.center_sq(centers[filled], onehot[filled], sizes[filled])
+        flat = centers.reshape(-1, dim)
+        np.divide(onehot @ points, sizes[:, None], out=flat, where=filled[:, None])
+        centers_sq = np.where(filled, fit_data.center_sq(flat, onehot, sizes),
+                              centers_sq.ravel()).reshape(centers_sq.shape)
         current = new
     return labels
 
@@ -321,12 +324,12 @@ def _lane_centers(fit_data: FitData, labels: np.ndarray):
     """Every lane's alternation centers, as one-hot products (see
     `FitData`), with their squared norms.
 
-    Returns ``(special, classes)``; each center set is a pair ``(m,
-    m_sq)`` of one lane's center per column of ``m`` and their squared
-    norms.  ``classes[j - 1]`` holds class j's centers, on its rows in the
-    direct form.  ``special`` holds m_0, on all rows in the direct form;
-    both are NaN in a lane whose I_0 is empty, and ``special`` is None
-    when I_0 is empty in every lane.
+    Returns ``(special, classes)``.  ``classes[j - 1]`` is the pair
+    ``(m, m_sq)`` of class j's centers, one lane's per column of ``m``
+    (on class j's rows in the direct form), and their squared norms.
+    ``special`` is None when I_0 is empty in every lane, and otherwise
+    ``(filled, m, m_sq)``: the mask of the lanes whose I_0 has members,
+    and their m_0 (on all rows in the direct form) and squared norms.
     """
     onehot = _onehot(labels, len(fit_data.class_x) + 1)
     sizes = onehot.sum(axis=2)
@@ -335,14 +338,10 @@ def _lane_centers(fit_data: FitData, labels: np.ndarray):
         m = xs @ onehot[:, j].T / sizes[:, j]
         classes.append((m, fit_data.center_sq(m.T, onehot[:, j], sizes[:, j])))
     special = None
-    present = sizes[:, 0] > 0
-    if present.any():
-        sums = fit_data.points.T @ onehot[:, 0].T
-        m0 = np.divide(sums, sizes[:, 0], out=np.full_like(sums, np.nan), where=present)
-        m0_sq = np.full(len(labels), np.nan)
-        m0_sq[present] = fit_data.center_sq(m0[:, present].T, onehot[present, 0],
-                                            sizes[present, 0])
-        special = m0, m0_sq
+    filled = sizes[:, 0] > 0
+    if filled.any():
+        m0 = (fit_data.points.T @ onehot[:, 0].T)[:, filled] / sizes[filled, 0]
+        special = filled, m0, fit_data.center_sq(m0.T, onehot[filled, 0], sizes[filled, 0])
     return special, tuple(classes)
 
 
@@ -351,13 +350,14 @@ def _lane_distances(fit_data: FitData, special, classes, lam: np.ndarray) -> np.
     minimizes over: each feature's distance to each lane's centers, given
     as `_lane_centers` gives them, on their rows.  Each lane's special row
     is scaled by its own ``lam`` and is inf where that ``lam`` is inf or
-    the lane's m_0 is absent (None or NaN); such a lane forms no m_0
-    product, so no inf meets a 0."""
+    the lane has no m_0; such a lane forms no m_0 product, so no inf
+    meets a 0."""
     dist = np.full((len(classes) + 1, len(fit_data.points), len(lam)), np.inf)
     if special is not None:
-        m0, m0_sq = special
-        present = np.isfinite(lam) & ~np.isnan(m0_sq)
-        d2 = fit_data.sq_distances_to(0, m0[:, present].T, m0_sq[present])
+        filled, m0, m0_sq = special
+        present = filled & np.isfinite(lam)
+        keep = present[filled]
+        d2 = fit_data.sq_distances_to(0, m0[:, keep].T, m0_sq[keep])
         dist[0][:, present] = lam[present] * np.sqrt(d2 / fit_data.n_rows[0])
     for j, (d, (m, m_sq)) in enumerate(zip(dist[1:], classes), start=1):
         d[:] = np.sqrt(fit_data.sq_distances_to(j, m.T, m_sq) / fit_data.n_rows[j])
@@ -472,7 +472,7 @@ def update_centers(ds: LabeledDataset, part: FeaturePartition) -> ClusterCenters
     special, classes = _lane_centers(FitData.direct(ds), _labels(part, ds.p)[None])
     centers = [m[:, 0] for m, _ in classes]
     if part.has_special:
-        centers.insert(0, None if special is None else special[0][:, 0])
+        centers.insert(0, None if special is None else special[1][:, 0])
     return ClusterCenters(tuple(centers), has_special=part.has_special)
 
 
@@ -484,8 +484,9 @@ def _dn_distances(ds: LabeledDataset, centers: ClusterCenters, lam: float) -> np
         return m[:, None], row_sq_norms(m[None])
 
     m0, *classes = centers.centers if centers.has_special else (None, *centers.centers)
-    dist = _lane_distances(FitData.direct(ds), None if m0 is None else column(m0),
-                           tuple(map(column, classes)), np.array([lam]))
+    special = None if m0 is None else (np.array([True]), *column(m0))
+    dist = _lane_distances(FitData.direct(ds), special, tuple(map(column, classes)),
+                           np.array([lam]))
     return dist[int(not centers.has_special):, :, 0].T
 
 

@@ -16,7 +16,7 @@ from conftest import block_dataset, random_dataset
 from ndc import rng as rngmod
 from ndc.baselines import knn_fit, knn_predict_many
 from ndc.classifier import compute_centroids, predict_many
-from ndc.data import FeaturePartition, LabeledDataset, row_sq_norms
+from ndc.data import FeaturePartition, LabeledDataset
 from ndc.kmeans import (
     ClusterCenters,
     FitData,
