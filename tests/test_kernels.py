@@ -138,6 +138,22 @@ def test_kmeans_lanes_match_reference():
             np.testing.assert_array_equal(got, want)
 
 
+def test_kmeans_lanes_keep_an_emptied_center():
+    # five equal columns: k-means++ draws a duplicate seed once no
+    # distance is left, and its cluster empties at the first assignment
+    rng = np.random.default_rng(5)
+    col = rng.normal(size=(40, 1))
+    ds = LabeledDataset.from_arrays(np.hstack([col] * 5 + [rng.normal(size=(40, 1)), col + 3.0]),
+                                    np.arange(40) % 2 + 1)
+    points = np.ascontiguousarray(ds.x.T)
+    for fd in (FitData.of(ds), FitData.direct(ds)):
+        for trial in range(10):
+            seeds = _seed_lanes(fd, 4, [rngmod.generator(trial, "empty")])
+            assert len(np.unique(points[seeds[0]], axis=0)) < 4
+            np.testing.assert_array_equal(_lloyd_lanes(fd, seeds)[0],
+                                          ref_kmeans_rows(points, 4, rngmod.generator(trial, "empty")))
+
+
 def test_assign_distances_match_reference():
     rng = np.random.default_rng(104)
     for trial in range(20):
