@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, class_blocks, feature_rows, row_sq_norms, sq_distances
+from .data import LabeledDataset, feature_rows, row_sq_norms, sq_distances
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def _nsc_stats(ds: LabeledDataset):
     scale = s_i + s0
     if np.any(scale == 0):
         raise ValueError("degenerate constant data: zero pooled sd and zero s0")
-    counts = np.array([len(xs) for xs in class_blocks(ds)], dtype=np.float64)
+    counts = np.array([len(xs) for xs in ds.class_x], dtype=np.float64)
     m_k = np.sqrt(1.0 / counts - 1.0 / ds.n)
     d = (ds.class_means - overall) / (m_k[:, None] * scale[None, :])
     return overall, scale, s0, counts, m_k, d

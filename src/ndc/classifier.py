@@ -16,13 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (
-    FeaturePartition,
-    LabeledDataset,
-    class_blocks,
-    feature_rows,
-    validate_partition,
-)
+from .data import FeaturePartition, LabeledDataset, feature_rows, validate_partition
 
 MODEL_FORMAT_VERSION = 1
 
@@ -44,17 +38,14 @@ class NdcModel:
     def __post_init__(self):
         if self.lambda_used is not None and math.isinf(self.lambda_used):
             object.__setattr__(self, "lambda_used", None)
-        groups = self.partition.class_groups
-        if len(groups) != self.k or len(self.centroids) != self.k:
-            raise ValueError("need one feature group and one centroid per class")
-        for g, c in zip(groups, self.centroids):
-            if len(g) == 0:
-                raise ValueError("class feature groups must be non-empty")
-            if len(c) != len(g):
-                raise ValueError("centroid length must match its feature group")
         problem = validate_partition(self.partition, self.p, self.k)
         if problem is not None:
             raise ValueError(f"invalid partition: {problem}")
+        if len(self.centroids) != self.k:
+            raise ValueError("need one centroid per class")
+        for g, c in zip(self.partition.class_groups, self.centroids):
+            if len(c) != len(g):
+                raise ValueError("centroid length must match its feature group")
 
     @property
     def selected_feature_count(self) -> int:
@@ -64,9 +55,7 @@ class NdcModel:
 def compute_centroids(ds: LabeledDataset, part: FeaturePartition) -> NdcModel:
     """Per-class mean of the rows restricted to that class's feature group."""
     centroids = []
-    for g, xs in zip(part.class_groups, class_blocks(ds)):
-        if len(g) == 0:
-            raise ValueError("cannot compute a centroid for an empty feature group")
+    for g, xs in zip(part.class_groups, ds.class_x):
         # ``take`` gathers a row-major block; numpy would sum the
         # column-major ``xs[:, g]`` in another order.
         centroids.append(xs.take(g, axis=1).mean(axis=0))
@@ -98,7 +87,7 @@ def empirical_risk(ds: LabeledDataset, model: NdcModel) -> float:
     if ds.p != model.p or ds.k != model.k:
         raise ValueError("model and dataset dimensions disagree")
     total = 0.0
-    for xs, g, c in zip(class_blocks(ds), model.partition.class_groups, model.centroids):
+    for xs, g, c in zip(ds.class_x, model.partition.class_groups, model.centroids):
         total += np.square(xs.take(g, axis=1) - c).mean(axis=1).sum()
     return float(total) / ds.n
 

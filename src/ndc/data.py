@@ -132,10 +132,6 @@ class FeaturePartition:
         object.__setattr__(self, "groups", tuple(frozen))
 
     @property
-    def n_class_groups(self) -> int:
-        return len(self.groups) - (1 if self.has_special else 0)
-
-    @property
     def class_groups(self) -> tuple[np.ndarray, ...]:
         """The groups tied to classes 1..k, excluding the special group."""
         return self.groups[1:] if self.has_special else self.groups
@@ -193,17 +189,11 @@ def feature_rows(x, p: int) -> np.ndarray:
     return x
 
 
-def class_blocks(ds: LabeledDataset) -> tuple[np.ndarray, ...]:
-    """Each class's rows as one read-only block (`LabeledDataset.class_x`):
-    element j-1 holds the rows labeled j, in their original order."""
-    return ds.class_x
-
-
 def validate_partition(part: FeaturePartition, p: int, k: int) -> str | None:
     """Return None if ``part`` is a valid partition for (p, k), else the
     first violation found, as a human-readable message."""
-    if part.n_class_groups != k:
-        return f"expected {k} class groups, found {part.n_class_groups}"
+    if len(part.class_groups) != k:
+        return f"expected {k} class groups, found {len(part.class_groups)}"
     seen = np.zeros(p, dtype=bool)
     for pos, g in enumerate(part.groups):
         if len(g) and (g[0] < 0 or g[-1] >= p):

@@ -61,7 +61,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .classifier import compute_centroids, training_error, with_lambda
-from .data import FeaturePartition, LabeledDataset, class_blocks, row_sq_norms, sq_distances
+from .data import FeaturePartition, LabeledDataset, row_sq_norms, sq_distances
 
 # Bytes the lanes fitted at once may give each of their largest arrays
 # (see `_lane_width`).  At p = 20 000 features and k = 3 a lane's holds
@@ -167,7 +167,7 @@ class FitData:
         """
         if ds.k * ds.p >= ds.n:
             return cls.direct(ds)
-        grams = tuple(xs.T @ xs for xs in class_blocks(ds))
+        grams = tuple(xs.T @ xs for xs in ds.class_x)
         gram = sum(grams)
         return cls(gram, np.diagonal(gram).copy(), grams,
                    tuple(np.diagonal(g).copy() for g in grams), _n_rows(ds), gram=True)
@@ -178,9 +178,8 @@ class FitData:
         coordinates, so the one-lane steps that take or return centers
         use it."""
         points = np.ascontiguousarray(ds.x.T)
-        class_x = class_blocks(ds)
-        return cls(points, row_sq_norms(points), class_x,
-                   tuple(row_sq_norms(xs.T) for xs in class_x), _n_rows(ds), gram=False)
+        return cls(points, row_sq_norms(points), ds.class_x,
+                   tuple(row_sq_norms(xs.T) for xs in ds.class_x), _n_rows(ds), gram=False)
 
     def center_sq(self, centers: np.ndarray, onehot: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """The squared norms of ``centers``, one center per row, each the
@@ -207,7 +206,7 @@ class FitData:
 
 
 def _n_rows(ds: LabeledDataset) -> tuple[int, ...]:
-    return (ds.n, *(len(xs) for xs in class_blocks(ds)))
+    return (ds.n, *(len(xs) for xs in ds.class_x))
 
 
 def _onehot(labels: np.ndarray, n_labels: int) -> np.ndarray:
@@ -512,7 +511,7 @@ def clustering_objective(ds: LabeledDataset, part: FeaturePartition) -> float:
     if part.has_special and len(part.special):
         m0 = centers.centers[0]
         total += np.square(ds.x[:, part.special] - m0[:, None]).mean(axis=0).sum()
-    for g, xs, m in zip(part.class_groups, class_blocks(ds),
+    for g, xs, m in zip(part.class_groups, ds.class_x,
                         centers.centers[int(part.has_special):]):
         total += np.square(xs.take(g, axis=1) - m[:, None]).mean(axis=0).sum()
     return float(total)

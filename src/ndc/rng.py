@@ -10,7 +10,6 @@ order.  Normal variates come from numpy's ``Generator.standard_normal``
 
 from __future__ import annotations
 
-import functools
 import hashlib
 
 import numpy as np
@@ -23,15 +22,7 @@ def _token_to_int(token: int | str) -> int:
         if token < 0:
             raise ValueError("integer path tokens must be non-negative")
         return int(token)
-    return _hash_token(str(token))
-
-
-@functools.lru_cache(maxsize=256)
-def _hash_token(token: str) -> int:
-    """A string token's integer: the first bytes of its SHA-256.  The
-    package uses a handful of literal tokens, one of them per restart
-    stream, so each is hashed once."""
-    digest = hashlib.sha256(token.encode("utf-8")).digest()
+    digest = hashlib.sha256(str(token).encode("utf-8")).digest()
     return int.from_bytes(digest[:_TOKEN_BYTES], "big")
 
 

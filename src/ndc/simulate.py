@@ -82,18 +82,10 @@ def preset(sim_id: int, level: float, d_or_r: int) -> SimulationConfig:
         raise ValueError("sim_id must be 1..4")
     if not any(abs(level - v) < 1e-12 for v in LEVELS):
         raise ValueError(f"level must be one of {LEVELS}")
-    if sim_id == 4:
-        if d_or_r not in R_GRID:
-            raise ValueError(f"r must be one of {R_GRID}")
-        return SimulationConfig(k=4, n_per_class=250, d=5, mu1=level, mu2=0.0,
-                                sigma1=1.0, sigma2=1.0 + level, r=d_or_r)
-    if d_or_r not in D_GRID:
-        raise ValueError(f"d must be one of {D_GRID}")
-    if sim_id == 1:
-        return SimulationConfig(k=4, n_per_class=250, d=d_or_r, mu1=level,
-                                mu2=0.0, sigma1=1.0, sigma2=1.0)
-    if sim_id == 2:
-        return SimulationConfig(k=4, n_per_class=250, d=d_or_r, mu1=0.0,
-                                mu2=0.0, sigma1=1.0, sigma2=1.0 + level)
-    return SimulationConfig(k=4, n_per_class=250, d=d_or_r, mu1=level,
-                            mu2=0.0, sigma1=1.0, sigma2=1.0 + level)
+    name, grid = ("r", R_GRID) if sim_id == 4 else ("d", D_GRID)
+    if d_or_r not in grid:
+        raise ValueError(f"{name} must be one of {grid}")
+    return SimulationConfig(k=4, n_per_class=250, d=5 if sim_id == 4 else d_or_r,
+                            mu1=0.0 if sim_id == 2 else level, mu2=0.0, sigma1=1.0,
+                            sigma2=1.0 if sim_id == 1 else 1.0 + level,
+                            r=d_or_r if sim_id == 4 else 0)

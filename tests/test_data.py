@@ -5,7 +5,6 @@ from ndc.data import (
     CsvFormatError,
     FeaturePartition,
     LabeledDataset,
-    class_blocks,
     dn_norm_sq,
     read_feature_csv,
     read_labeled_csv,
@@ -40,43 +39,43 @@ def test_dn_norm_permutation_invariant():
         assert dn_norm_sq(rng.permutation(v)) == pytest.approx(dn_norm_sq(v), rel=1e-12)
 
 
-def test_class_blocks_examples():
+def test_class_x_examples():
     ds = LabeledDataset.from_arrays(np.zeros((4, 4)) + np.eye(4), [1, 2, 1, 2])
-    blocks = class_blocks(ds)
+    blocks = ds.class_x
     assert blocks[0].tolist() == [[1, 0, 0, 0], [0, 0, 1, 0]]
     assert blocks[1].tolist() == [[0, 1, 0, 0], [0, 0, 0, 1]]
 
     ds1 = LabeledDataset.from_arrays(np.ones((3, 3)), [1, 1, 1])
-    assert class_blocks(ds1)[0].tolist() == [[1, 1, 1]] * 3
+    assert ds1.class_x[0].tolist() == [[1, 1, 1]] * 3
 
     ds2 = LabeledDataset.from_arrays(np.eye(3), [2, 2, 1])
-    blocks = class_blocks(ds2)
+    blocks = ds2.class_x
     assert blocks[0].tolist() == [[0, 0, 1]]
     assert blocks[1].tolist() == [[1, 0, 0], [0, 1, 0]]
 
 
-def test_class_blocks_partition_rows():
+def test_class_x_partition_rows():
     # every row lands in its class's block once, in its original order
     rng = np.random.default_rng(3)
     labels = rng.integers(1, 4, size=60)
     labels[:3] = [1, 2, 3]
     ds = LabeledDataset.from_arrays(rng.normal(size=(60, 5)), labels)
-    joined = np.concatenate(class_blocks(ds))
+    joined = np.concatenate(ds.class_x)
     np.testing.assert_array_equal(joined, ds.x[np.argsort(labels, kind="stable")])
 
 
-def test_class_blocks_are_cached_read_only():
+def test_class_x_is_cached_read_only():
     rng = np.random.default_rng(4)
     labels = rng.integers(1, 4, size=40)
     labels[:3] = [1, 2, 3]
     ds = LabeledDataset.from_arrays(rng.normal(size=(40, 6)), labels)
-    blocks = class_blocks(ds)
+    blocks = ds.class_x
     for j, xs in enumerate(blocks, start=1):
         np.testing.assert_array_equal(xs, ds.x[ds.labels == j])
         assert not xs.flags.writeable
     with pytest.raises(ValueError):
         blocks[0][0, 0] = 1.0
-    again = class_blocks(ds)
+    again = ds.class_x
     assert again is blocks and all(a is b for a, b in zip(again, blocks))
     for name in ("class_means", "class_ss"):
         stat = getattr(ds, name)
@@ -86,7 +85,7 @@ def test_class_blocks_are_cached_read_only():
                                   np.stack([ds.x[ds.labels == j].mean(axis=0) for j in (1, 2, 3)]))
     # a new dataset starts its own cache
     other = LabeledDataset.from_arrays(ds.x, ds.labels)
-    assert class_blocks(other)[0] is not blocks[0]
+    assert other.class_x[0] is not blocks[0]
 
 
 def test_missing_class_rejected():

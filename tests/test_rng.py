@@ -1,5 +1,5 @@
-"""Named random streams: the values below were recorded before string
-tokens were memoized, and every stream must keep them."""
+"""Named random streams: the values below are recorded, and every
+stream must keep them."""
 
 from ndc import rng as rngmod
 
