@@ -167,6 +167,9 @@ def load_model(path) -> NdcModel:
             raise ValueError(f"model centroid slot {pos} holds a NaN or infinite value")
         groups.append(np.asarray(g, dtype=np.int64) - 1)
         centroids.append(centroid)
+    listed = sum(len(g) for g in groups)
+    if listed < p:  # checked before validation builds anything of length p
+        raise ValueError(f"model partition lists {listed} feature indices, fewer than p={p}")
     lam = doc.get("lambda")
     if lam == "inf":
         lam = math.inf
@@ -183,4 +186,12 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that a float64 can hold: not a bool, and not an
+    integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True

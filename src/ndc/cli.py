@@ -29,6 +29,7 @@ from .evaluate import (
 )
 from .kmeans import FitConfig, FitFailedError, fit_best
 from .oracle import (
+    _check_enumeration_size,
     block_spec,
     brute_force_minimizer,
     check_diagonal_optimality,
@@ -116,29 +117,28 @@ def cmd_benchmark(args) -> int:
 def cmd_oracle(args) -> int:
     mode = _one_mode({"--data": args.data is not None, "--corollary": args.corollary,
                       "--consistency": args.consistency})
+    if mode == "--data":
+        ds = read_labeled_csv(args.data, label_col=args.label_col)
+        part, w_star = brute_force_minimizer(ds)
+        for j, group in enumerate(part.groups_1based(), start=1):
+            print(f"I_{j}: {group}")
+        print(f"W*: {w_star!r}")
+        return 0
+    # refuse an oversized enumeration before the k x (k * d) spec is built
+    _check_enumeration_size(args.k * args.d, args.k)
+    spec = block_spec(args.k, args.d, args.sigma1, args.sigma2, mu1=args.mu1, mu2=args.mu2)
     if mode == "--corollary":
-        spec = block_spec(args.k, args.d, args.sigma1, args.sigma2,
-                          mu1=args.mu1, mu2=args.mu2)
         report = check_diagonal_optimality(spec, args.d)
         print(f"{'PASS' if report.passed else 'FAIL'}: {report.reason}")
         print(f"diagonal risk {report.diagonal_risk!r}, best risk {report.best_risk!r}")
         return 0
-    if mode == "--consistency":
-        spec = block_spec(args.k, args.d, args.sigma1, args.sigma2,
-                          mu1=args.mu1, mu2=args.mu2)
-        n_grid = [int(v) for v in args.n_grid.split(",") if v]
-        result = consistency_experiment(spec, n_grid, reps=args.reps,
-                                        seed=args.seed, fit_restarts=args.restarts,
-                                        fitter=args.fitter)
-        print("\n".join(result.tsv_lines()))
-        for n in n_grid:
-            print(f"# mean gap at n={n}: {result.mean_gap(n)!r}")
-        return 0
-    ds = read_labeled_csv(args.data, label_col=args.label_col)
-    part, w_star = brute_force_minimizer(ds)
-    for j, group in enumerate(part.groups_1based(), start=1):
-        print(f"I_{j}: {group}")
-    print(f"W*: {w_star!r}")
+    n_grid = [int(v) for v in args.n_grid.split(",") if v]
+    result = consistency_experiment(spec, n_grid, reps=args.reps,
+                                    seed=args.seed, fit_restarts=args.restarts,
+                                    fitter=args.fitter)
+    print("\n".join(result.tsv_lines()))
+    for n in n_grid:
+        print(f"# mean gap at n={n}: {result.mean_gap(n)!r}")
     return 0
 
 

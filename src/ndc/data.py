@@ -294,8 +294,12 @@ def write_labeled_csv(path, ds: LabeledDataset, label_col: str = "label") -> Non
     quoting; a data row is its label and the ``repr`` of each value,
     which for a finite float never needs quoting.
     """
+    # csv leaves a "\r" unquoted under a "\n" terminator, and the reader
+    # drops a leading U+FEFF as a byte-order mark: quote such names
+    quote = "\r" in label_col or label_col.startswith("\ufeff")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(
+        csv.writer(fh, lineterminator="\n",
+                   quoting=csv.QUOTE_ALL if quote else csv.QUOTE_MINIMAL).writerow(
             [label_col] + [f"x{i}" for i in range(1, ds.p + 1)])
         for label, row in zip(ds.labels.tolist(), ds.x):
             fh.write(f"{label}," + ",".join(map(repr, row.tolist())) + "\n")

@@ -84,7 +84,10 @@ def block_spec(k: int, d: int, sigma1: float, sigma2: float,
 
 
 def _check_enumeration_size(p: int, k: int) -> None:
-    if k ** p > ENUMERATION_GUARD:
+    # k ** p >= 2 ** (p * (bit_length(k) - 1)), so a large p is refused on
+    # bit lengths alone; the exact power is formed only when it is small
+    if (p * (k.bit_length() - 1) >= ENUMERATION_GUARD.bit_length()
+            or k ** p > ENUMERATION_GUARD):
         raise ValueError(
             f"{k}^{p} assignments exceed the enumeration guard ({ENUMERATION_GUARD}); "
             "use fewer features")

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dataset
 from ndc.classifier import (
@@ -270,6 +273,9 @@ def test_load_model_accepts_valid_document(tmp_path):
     (lambda d: d["partition"].__setitem__(1, [10**30]), "slot 1: feature index out of range"),
     (lambda d: d.update(format_version=True), "format version True"),
     (lambda d: d.update(format_version=1.0), "format version 1.0"),
+    (lambda d: d.update(p=2**40), f"lists 3 feature indices, fewer than p={2**40}"),
+    (lambda d: d["centroids"].__setitem__(2, [10**400]), "slot 2 must hold numbers"),
+    (lambda d: d.__setitem__("lambda", 10**400), "lambda must be a positive number"),
 ])
 def test_load_model_rejects_bad_document(tmp_path, change, message):
     import json
@@ -286,3 +292,94 @@ def test_load_model_rejects_non_object(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="JSON object"):
         load_model(path)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda ds, part, cs: NdcModel(FeaturePartition((np.array([0, 1]),)), cs[:1], k=2, p=2),
+     "invalid partition: expected 2 class groups, found 1"),
+    (lambda ds, part, cs: NdcModel(FeaturePartition((np.array([0, 1]), np.array([], int))),
+                                   (np.zeros(2), np.zeros(0)), k=2, p=2),
+     "invalid partition: class group 2 is empty"),
+    (lambda ds, part, cs: compute_centroids(
+        ds, FeaturePartition((np.array([0, 1]), np.array([], int)))),
+     "invalid partition: class group 2 is empty"),
+    (lambda ds, part, cs: NdcModel(part, cs[:1], k=2, p=2), "need one centroid per class"),
+    (lambda ds, part, cs: NdcModel(part, (cs[0], np.zeros(2)), k=2, p=2),
+     "centroid length must match its feature group"),
+])
+def test_model_refuses_a_bad_partition_or_centroids(toy_ds, toy_partition, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(toy_ds, toy_partition, (np.zeros(1), np.zeros(1)))
+
+
+_MODEL_DOCS = [
+    {**_toy_model_doc(), "lambda": 0.9},
+    {"format_version": 1, "k": 3, "p": 4, "has_special": False,
+     "partition": [[1, 4], [2], [3]], "centroids": [[0.5, -1.0], [2.0], [3.5]]},
+]
+
+
+def _value_paths(value, path=()):
+    """The path of every value in a JSON document, the document included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _value_paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced(doc, path, new):
+    if not path:
+        return new
+    doc = json.loads(json.dumps(doc))
+    _at(doc, path[:-1])[path[-1]] = new
+    return doc
+
+
+def _doc_predictions(doc, x):
+    """Nearest centroid by mean squared residual, read off the document."""
+    skip = int(doc["has_special"])
+    scores = [np.square(x[:, np.array(g, dtype=np.int64) - 1] - np.array(c)).mean(axis=1)
+              for g, c in zip(doc["partition"][skip:], doc["centroids"][skip:])]
+    return np.argmin(np.stack(scores, axis=1), axis=1) + 1
+
+
+# integers stay small or start at 2**40, so that a loader which sized
+# anything by a file's p would fail fast instead of allocating gigabytes
+_INTS = st.integers(-10**4, 10**4) | st.integers(2**40, 10**400)
+_SCALARS = {bool: st.booleans(), int: _INTS, float: st.floats(),
+            str: st.sampled_from(["inf", "1", ""]) | st.text(max_size=4)}
+_JSON_VALUES = st.recursive(
+    st.none() | st.one_of(*_SCALARS.values()),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=2),
+    max_leaves=5)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_a_model_file_with_one_value_replaced_loads_right_or_is_refused(tmp_path_factory, data):
+    doc = data.draw(st.sampled_from(_MODEL_DOCS))
+    path = data.draw(st.sampled_from(list(_value_paths(doc))))
+    # a value of the original's own kind half the time, so that many
+    # replaced files still load and their predictions get compared
+    same_kind = _SCALARS.get(type(_at(doc, path)))
+    new = data.draw(_JSON_VALUES if same_kind is None else same_kind | _JSON_VALUES)
+    mutated = _replaced(doc, path, new)
+    model_path = tmp_path_factory.getbasetemp() / "mutated-model.json"
+    model_path.write_text(json.dumps(mutated))
+    try:
+        model = load_model(model_path)
+    except ValueError:
+        event("refused")
+        return
+    event("loaded")
+    x = np.random.default_rng(7).normal(size=(20, doc["p"])) * 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.testing.assert_array_equal(predict_many(model, x), _doc_predictions(mutated, x))

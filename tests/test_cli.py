@@ -74,6 +74,20 @@ def test_fit_prints_training_error_and_writes_model(tmp_path, toy_csv, capsys):
     assert doc["k"] == 2 and doc["p"] == 2
 
 
+def test_fit_and_predict_one_class(tmp_path, capsys):
+    # k = 1 is valid input: every feature goes to the one class
+    data = tmp_path / "one.csv"
+    data.write_text("label,x1,x2\n1,0.5,2.0\n1,-1.0,3.0\n1,4.0,0.0\n")
+    model = tmp_path / "m.json"
+    assert main(["fit", str(data), "--restarts", "3", "--out", str(model)]) == 0
+    assert "training error: 0.0\n" in capsys.readouterr().out
+    pred = tmp_path / "p.csv"
+    assert main(["predict", str(model), str(data), "--out", str(pred)]) == 0
+    lines = pred.read_text().splitlines()
+    assert lines[0] == "label,x1,x2,predicted"
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["1", "1", "1"]
+
+
 def test_fit_lambda_inf_same_as_omitted(tmp_path, toy_csv):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -231,6 +245,21 @@ def test_predict_model_index_beyond_int64_exit_2(tmp_path, toy_csv, capsys, inde
     assert "partition slot 1: feature index out of range 1..2" in capsys.readouterr().err
 
 
+def test_predict_model_with_huge_p_exit_2(tmp_path, toy_csv, capsys):
+    # 2**40 features would need a terabyte to check coverage: the count
+    # of listed indices refuses it before anything of length p is built
+    model = tmp_path / "model.json"
+    main(["fit", str(toy_csv), "--restarts", "3", "--seed", "1", "--out", str(model)])
+    doc = json.loads(model.read_text())
+    doc["p"] = 2**40
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["predict", str(model), str(toy_csv), "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: model partition lists 2 feature indices, fewer than p={2**40}\n"
+    assert not (tmp_path / "p.csv").exists()
+
+
 @pytest.mark.parametrize("label", ["1" + "0" * 30, "-" + "9" * 20])
 def test_fit_label_beyond_int64_exit_2(tmp_path, capsys, label):
     data = tmp_path / "big.csv"
@@ -381,6 +410,9 @@ def test_oracle_guard_exit_2(tmp_path):
     (["--corollary", "--k", "1"], "the diagonal check needs k >= 2 classes, got k=1"),
     (["--consistency", "--sigma1", "inf"], "means and standard deviations must be finite"),
     (["--corollary", "--mu2", "nan"], "means and standard deviations must be finite"),
+    # a 2 x 2e9 spec would take 32 GB: the guard decides from k and k * d first
+    (["--corollary", "--k", "2", "--d", "1000000000"], "2^2000000000 assignments exceed"),
+    (["--consistency", "--k", "2", "--d", "1000000000"], "2^2000000000 assignments exceed"),
 ])
 def test_oracle_bad_shape_exit_2(capsys, args, message):
     assert main(["oracle", *args]) == 2

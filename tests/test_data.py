@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ndc.data import (
     CsvFormatError,
@@ -164,6 +167,32 @@ def test_csv_round_trip(tmp_path):
     back = read_labeled_csv(path)
     np.testing.assert_array_equal(back.labels, ds.labels)
     np.testing.assert_array_equal(back.x, ds.x)  # repr round-trips exactly
+
+
+@st.composite
+def _datasets(draw):
+    n, p = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    k = draw(st.integers(1, min(n, p)))
+    labels = draw(st.permutations([i % k + 1 for i in range(n)]))
+    floats = (st.floats(allow_nan=False, allow_infinity=False)
+              | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]))
+    return LabeledDataset(draw(arrays(np.float64, (n, p), elements=floats)), labels, k)
+
+
+@settings(max_examples=100)
+@given(ds=_datasets(),
+       label_col=st.text(max_size=6) | st.sampled_from(
+           ['a,b', 'say "hi"', "two\nlines", "cr\rlf", "\ufeffmark", "nul\x00", "x1"]),
+       bom=st.booleans())
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, ds, label_col, bom):
+    path = tmp_path_factory.getbasetemp() / "round-trip.csv"
+    write_labeled_csv(path, ds, label_col=label_col)
+    if bom:
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back = read_labeled_csv(path, label_col=label_col)
+    assert back.k == ds.k
+    np.testing.assert_array_equal(back.labels, ds.labels)
+    assert back.x.tobytes() == ds.x.tobytes()  # bit-exact, -0.0 and subnormals included
 
 
 def test_csv_label_column_position_free(tmp_path):

@@ -141,6 +141,20 @@ def test_enumeration_guard():
         brute_force_minimizer(ds)
 
 
+@pytest.mark.parametrize("p, k, refused", [
+    (23, 2, False), (24, 2, True), (7, 10, False), (8, 10, True),
+    (10**18, 2, True), (1, 10**9, True), (10**18, 1, False), (0, 2, False),
+])
+def test_enumeration_guard_is_exact_at_its_boundary(p, k, refused):
+    # 10**7 equals the guard and passes; 2**10**18 is refused without
+    # forming it
+    if refused:
+        with pytest.raises(ValueError, match="enumeration guard"):
+            oracle._check_enumeration_size(p, k)
+    else:
+        oracle._check_enumeration_size(p, k)
+
+
 def test_iter_assignments_counts():
     # assignments of 4 features to 2 non-empty groups: 2^4 - 2 = 14
     assert sum(1 for _ in iter_assignments(4, 2)) == 14
