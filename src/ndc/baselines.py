@@ -111,8 +111,9 @@ def nsc_scores_many(model: NscModel, x: np.ndarray) -> np.ndarray:
     """Discriminant score per class: standardized squared distance to the
     shrunken centroid minus twice the log prior (smaller is better)."""
     x = feature_rows(x, model.p)
-    z = (x[:, None, :] - model.shrunken[None, :, :]) / model.scale[None, None, :]
-    return np.square(z).sum(axis=2) - 2.0 * np.log(model.priors)[None, :]
+    z = np.subtract(x[:, None, :], model.shrunken[None, :, :])  # the one (rows x k x p) cube
+    z /= model.scale
+    return np.square(z, out=z).sum(axis=2) - 2.0 * np.log(model.priors)[None, :]
 
 
 def nsc_predict_many(model: NscModel, x: np.ndarray) -> np.ndarray:

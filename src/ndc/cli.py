@@ -124,7 +124,13 @@ def cmd_oracle(args) -> int:
             print(f"I_{j}: {group}")
         print(f"W*: {w_star!r}")
         return 0
-    # refuse an oversized enumeration before the k x (k * d) spec is built
+    # refuse a one-class spec (it has only one partition, so there is
+    # nothing to compare; k < 1 is block_spec's to refuse) and an oversized
+    # enumeration before the k x (k * d) spec is built
+    if args.k == 1:
+        what = "the diagonal check" if mode == "--corollary" else "the consistency experiment"
+        raise ValueError(f"{what} needs k >= 2 classes, got k=1: "
+                         "a one-class spec has only one partition")
     _check_enumeration_size(args.k * args.d, args.k)
     spec = block_spec(args.k, args.d, args.sigma1, args.sigma2, mu1=args.mu1, mu2=args.mu2)
     if mode == "--corollary":

@@ -234,14 +234,16 @@ def read_feature_csv(path, label_col: str = "label"):
 def _read_csv(path, label_col, require_labels):
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
         rows, lines = [], []  # lines[r]: the file line of rows[r], blank lines skipped
-        for row in filter(None, reader):
-            rows.append(row)
-            lines.append(reader.line_num)
+        try:
+            header = next(reader, None)
+            for row in filter(None, reader):
+                rows.append(row)
+                lines.append(reader.line_num)
+        except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
+            raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
+    if header is None:
+        raise CsvFormatError(f"{path}: empty file")
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     label_idx = header.index(label_col) if label_col in header else None

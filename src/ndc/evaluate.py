@@ -141,7 +141,7 @@ def _tune(train: LabeledDataset, grid, seed: int, stream: str, what: str,
     An empty grid raises ValueError, and a single value is returned
     without fitting (its error as NaN).  The `NESTED_FOLDS` nested folds
     are drawn from ``seed``'s child ``stream``; each fold's training
-    set is built once and shared by every candidate.
+    set and validation rows are built once and shared by every candidate.
     ``fit_fold(data, f, seed)`` fits every candidate on ``data``, the
     training part of nested fold ``f`` (``seed`` being the nested folds'
     seed), and returns per candidate a function that labels rows, or
@@ -156,9 +156,10 @@ def _tune(train: LabeledDataset, grid, seed: int, stream: str, what: str,
     nested = CvConfig(folds=NESTED_FOLDS, seed=rngmod.child_seed(seed, stream))
     fold_errors = [[] for _ in grid]
     for f, (tr, va) in enumerate(k_fold_split(train, nested)):
+        x_va, labels_va = train.x[va], train.labels[va]
         for errors, predict in zip(fold_errors, fit_fold(_subset(train, tr), f, nested.seed)):
             if predict is not None:
-                errors.append(misclassification_rate(predict(train.x[va]), train.labels[va]))
+                errors.append(misclassification_rate(predict(x_va), labels_va))
     mean_errors = {value: float(np.mean(errors))
                    for value, errors in zip(grid, fold_errors) if errors}
     if not mean_errors:

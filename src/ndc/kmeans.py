@@ -42,13 +42,13 @@ in the order of a lone run.  As many lanes run at a time as
 `LANE_BYTES` allows each lane's largest arrays (`_lane_width`), so a
 small fit runs all its restarts in one round while wide data keeps its
 distance blocks and one-hots near 5 MB; a restart that converges or
-gives up hands its lane to the next one.  Each converged restart is
-scored by its model's own training error, except one that repeats its
-config's current winner's partition, whose model and error it would
-repeat.  `init_partition`, `update_centers`, `assign_rows`,
-`refine_partition` and `lloyd_fit` run the same kernels on one lane;
-they and `fit_grid` alone convert between the lane layout and the k- or
-(k + 1)-group `FeaturePartition` and `ClusterCenters`.
+gives up hands its lane to the next one.  The restarts that converge in
+a round are scored together by `_lane_errors`, their models' training
+errors from one product per class, and `fit_grid` builds a model only
+for each config's winner.  `init_partition`, `update_centers`,
+`assign_rows`, `refine_partition` and `lloyd_fit` run the same kernels
+on one lane; they and `fit_grid` alone convert between the lane layout
+and the k- or (k + 1)-group `FeaturePartition` and `ClusterCenters`.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .classifier import compute_centroids, training_error, with_lambda
+from .classifier import compute_centroids, with_lambda
 from .data import FeaturePartition, LabeledDataset, row_sq_norms, sq_distances
 
 # Bytes the lanes fitted at once may give each of their largest arrays
@@ -553,6 +553,27 @@ def _too_few_features(ds: LabeledDataset, config: FitConfig) -> bool:
     return config.with_selection and ds.k + 1 > ds.p
 
 
+def _lane_errors(ds: LabeledDataset, labels: np.ndarray) -> np.ndarray:
+    """The training error of every lane's model, as `training_error` of
+    `compute_centroids` on the lane's partition gives it.
+
+    Class j's centroid on I_j is the class mean ``ds.class_means[j - 1]``
+    restricted to I_j, so every row's score against class j in every lane
+    is one (n x p) @ (p x lanes) product: the squared residuals
+    (x - mu_j)^2 times each lane's 0/1 membership of I_j, over |I_j|.  The
+    residuals are formed in place, one class at a time.  Ties go to the
+    smallest class, as in `predict_many`.
+    """
+    scores = np.empty((ds.k, ds.n, len(labels)))
+    residuals = np.empty_like(ds.x)
+    for j, (mean, score) in enumerate(zip(ds.class_means, scores), start=1):
+        member = (labels == j).astype(np.float64)
+        np.square(np.subtract(ds.x, mean, out=residuals), out=residuals)
+        np.matmul(residuals, member.T, out=score)
+        score /= member.sum(axis=1)
+    return (scores.argmin(axis=0) + 1 != ds.labels[:, None]).mean(axis=0)
+
+
 def fit_grid(ds: LabeledDataset, configs):
     """Run the restarts of every config in ``configs`` in one queue over
     ``ds`` and keep each config's best, as `fit_best` would.
@@ -561,31 +582,29 @@ def fit_grid(ds: LabeledDataset, configs):
     None where that config failed: feature selection with k + 1 > p, or
     every restart exhausted its attempts.  Each restart draws from the
     stream its config's `fit_best` would give it, so every fit is the
-    one `fit_best` makes alone.
+    one `fit_best` makes alone.  Each round's converged restarts are
+    ranked by `_lane_errors`, ties to the earliest restart, and only the
+    winners' labels are kept; one model per config is built at the end.
     """
     configs = list(configs)
     jobs = [(i, r) for i, config in enumerate(configs) if not _too_few_features(ds, config)
             for r in range(config.restarts)]
     restarts = ((configs[i].lam, rngmod.generator(configs[i].seed, "restart", r))
                 for i, r in jobs)
-    best = [((math.inf, 0), None)] * len(configs)
+    best = [(math.inf, 0, None)] * len(configs)
     for indices, labels in _fit_lanes(FitData.of(ds), restarts):
-        for index, row in zip(indices, labels):
+        for index, row, error in zip(indices, labels, _lane_errors(ds, labels)):
             i, restart = jobs[index]
-            (best_error, _), best_fit = best[i]
-            # Repeating the winner's partition repeats its model and error,
-            # but an earlier restart still takes the lead, so that later
-            # ties go to the earliest restart.
-            if best_fit is not None and np.array_equal(row, best_fit[0]):
-                fit, error = best_fit, best_error
-            else:
-                part = _partition(row, ds.k, configs[i].with_selection)
-                fit = (row, part, compute_centroids(ds, part))
-                error = training_error(ds, fit[2])
-            if (error, restart) < best[i][0]:
-                best[i] = (error, restart), fit
-    return [None if fit is None else (fit[1], with_lambda(fit[2], config.lam), error)
-            for config, ((error, _), fit) in zip(configs, best)]
+            if (error, restart) < best[i][:2]:
+                best[i] = (error, restart, row)
+    fits = []
+    for config, (error, _, row) in zip(configs, best):
+        if row is None:
+            fits.append(None)
+            continue
+        part = _partition(row, ds.k, config.with_selection)
+        fits.append((part, with_lambda(compute_centroids(ds, part), config.lam), float(error)))
+    return fits
 
 
 def fit_best(ds: LabeledDataset, config: FitConfig):

@@ -413,6 +413,13 @@ def test_oracle_guard_exit_2(tmp_path):
     # a 2 x 2e9 spec would take 32 GB: the guard decides from k and k * d first
     (["--corollary", "--k", "2", "--d", "1000000000"], "2^2000000000 assignments exceed"),
     (["--consistency", "--k", "2", "--d", "1000000000"], "2^2000000000 assignments exceed"),
+    # a one-class spec is refused before its 1 x d spec is built, whatever d
+    (["--corollary", "--k", "1", "--d", "10000000000"],
+     "the diagonal check needs k >= 2 classes, got k=1"),
+    (["--consistency", "--k", "1", "--d", "10000000000"],
+     "the consistency experiment needs k >= 2 classes, got k=1"),
+    (["--consistency", "--k", "1", "--d", "3"],
+     "the consistency experiment needs k >= 2 classes, got k=1"),
 ])
 def test_oracle_bad_shape_exit_2(capsys, args, message):
     assert main(["oracle", *args]) == 2

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +195,74 @@ def test_csv_round_trip_is_bit_exact(tmp_path_factory, ds, label_col, bom):
     assert back.k == ds.k
     np.testing.assert_array_equal(back.labels, ds.labels)
     assert back.x.tobytes() == ds.x.tobytes()  # bit-exact, -0.0 and subnormals included
+
+
+def test_a_cell_longer_than_the_csv_field_limit_is_refused(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text(f"label,x1\n1,{'0' * (csv.field_size_limit() + 1)}\n")
+    with pytest.raises(CsvFormatError, match="row 2: field larger than field limit"):
+        read_labeled_csv(path)
+
+
+def _expected_read(fields):
+    """What reading the labeled CSV of these header and row ``fields``
+    must give, worked out from them directly: ``(x, labels)``, or None
+    where the file must be refused."""
+    header, *rows = fields
+    if "label" not in header or len(header) < 2:
+        return None
+    if any(len(cell) > csv.field_size_limit() for row in fields for cell in row):
+        return None
+    label_idx = header.index("label")
+    try:
+        labels = [int(row[label_idx]) for row in rows]
+        x = [[float(cell) for i, cell in enumerate(row) if i != label_idx] for row in rows]
+        if not all(-2**63 <= label < 2**63 for label in labels):
+            return None
+        ds = LabeledDataset.from_arrays(np.array(x), labels)  # refuses non-finite cells
+    except ValueError:
+        return None
+    return ds.x, ds.labels
+
+
+_ODD_TEXTS = [
+    "1.0", " label ", "+1", "1_0", " 2 ", "1e0", "0", "2", "-1", "", " ", "nan", "-inf", "1e999",
+    "0x1", "9" * 20, "label", "x1", "\ufefflabel", "a,b", 'say "hi"', "two\nlines", "cr\rlf",
+    "nul\x00", "0" * 140_000]
+
+
+@settings(max_examples=40)
+@given(ds=_datasets(), data=st.data())
+def test_a_csv_with_one_field_replaced_reads_right_or_is_refused(tmp_path_factory, ds, data):
+    # the label name, a feature name, a label and a feature cell of a
+    # valid file, each in a file of its own, take some text, quoted; each file
+    # then reads to the arrays that its fields describe (the same arrays
+    # where the text spells the same value) or is refused with
+    # CsvFormatError, never any other exception
+    fields = [["label", *(f"x{i}" for i in range(1, ds.p + 1))]]
+    fields += [[str(label), *map(repr, row)] for label, row in zip(ds.labels.tolist(), ds.x.tolist())]
+    r, c = data.draw(st.integers(1, ds.n)), data.draw(st.integers(1, ds.p))
+    texts = [*data.draw(st.permutations(_ODD_TEXTS))[:3], data.draw(st.text(max_size=6))]
+    for i, j in ((0, 0), (0, c), (r, 0), (r, c)):
+        for new in (*texts, f" {fields[i][j]}\n"):
+            assert_reads_as_described(tmp_path_factory.getbasetemp() / "one-field-replaced.csv",
+                                      fields, i, j, new)
+
+
+def assert_reads_as_described(path, fields, i, j, new):
+    fields = [list(row) for row in fields]
+    fields[i][j] = new
+    lines = [",".join('"' + cell.replace('"', '""') + '"' if (a, b) == (i, j) else cell
+                      for b, cell in enumerate(row)) for a, row in enumerate(fields)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want = _expected_read(fields)
+    if want is None:
+        with pytest.raises(CsvFormatError):
+            read_labeled_csv(path)
+        return
+    back = read_labeled_csv(path)
+    assert back.x.tobytes() == want[0].tobytes()
+    np.testing.assert_array_equal(back.labels, want[1])
 
 
 def test_csv_label_column_position_free(tmp_path):

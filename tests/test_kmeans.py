@@ -21,8 +21,11 @@ from ndc.kmeans import (
     FitData,
     FitFailedError,
     _fit_lanes,
+    _group_sizes,
     _init_lanes,
     _labels,
+    _lane_errors,
+    _partition,
     _refine_lanes,
     assign_rows,
     clustering_objective,
@@ -35,6 +38,7 @@ from ndc.kmeans import (
 )
 from ndc import rng as rngmod
 from ndc.evaluate import DEFAULT_LAMBDA_GRID
+from ndc.simulate import generate, preset
 
 
 def ref_kmeans_rows(points, point_sq, n_clusters, rng):
@@ -655,7 +659,7 @@ def test_tied_errors_go_to_the_earliest_restart_across_rounds(monkeypatch):
     errors = [training_error(ds, compute_centroids(ds, FeaturePartition(
         tuple(np.flatnonzero(row == j) for j in range(1, ds.k + 1))))) for row in (first, second)]
     assert errors[1] < errors[0]
-    monkeypatch.setattr(ndc.kmeans, "training_error", lambda ds, model: 0.0)
+    monkeypatch.setattr(ndc.kmeans, "_lane_errors", lambda ds, labels: np.zeros(len(labels)))
     fail_first_lane(monkeypatch, 1)
     part, _, _ = fit_best(ds, config)
     assert _groups(part) == [np.flatnonzero(first == j).tolist() for j in range(1, ds.k + 1)]
@@ -672,23 +676,69 @@ def test_a_restart_that_repeats_the_winner_still_takes_the_tie(monkeypatch):
     assert [restarts for restarts, _ in rounds] == [[2], [0], [1]]
     (_, (winner,)), (_, (repeat,)), (_, (other,)) = rounds
     assert np.array_equal(repeat, winner) and not np.array_equal(other, winner)
-    monkeypatch.setattr(ndc.kmeans, "training_error", lambda ds, model: 0.0)
+    monkeypatch.setattr(ndc.kmeans, "_lane_errors", lambda ds, labels: np.zeros(len(labels)))
     fail_lanes(monkeypatch, [0, 1], [1])
     part, _, _ = fit_best(ds, config)
     assert _groups(part) == [np.flatnonzero(winner == j).tolist() for j in range(1, ds.k + 1)]
 
 
-def test_restarts_that_repeat_the_winner_are_not_scored_again(monkeypatch):
-    # every restart converges to the same partition, so only the first is scored
+def test_restarts_that_converge_to_one_partition_build_one_model(monkeypatch):
+    # every restart converges to the same partition; they are all scored
+    # together, and only the winner's model is built
     ds = block_dataset(np.random.default_rng(41), k=2, n_per_class=20, d=5, sigma2=4.0)
     config = FitConfig(restarts=10, seed=1)
     rows = [row.tobytes() for _, labels in restart_rounds(ds, config) for row in labels]
     assert len(rows) == 10 and len(set(rows)) == 1
-    scored = []
-    monkeypatch.setattr(ndc.kmeans, "training_error",
-                        lambda ds, model: scored.append(model) or training_error(ds, model))
+    built = []
+    monkeypatch.setattr(ndc.kmeans, "compute_centroids",
+                        lambda ds, part: built.append(part) or compute_centroids(ds, part))
     _, model, err = fit_best(ds, config)
-    assert len(scored) == 1 and err == training_error(ds, model)
+    assert len(built) == 1 and err == training_error(ds, model)
+
+
+def random_lane_labels(rng, p, k, lanes):
+    """``lanes`` random label rows over groups 0..k with every class group
+    filled; in about a third of them one class group is a single feature."""
+    labels = rng.integers(0, k + 1, size=(lanes, p))
+    for row in labels:
+        own = rng.choice(p, size=k, replace=False)
+        if rng.random() < 1 / 3:
+            row[row == rng.integers(1, k + 1)] = 0
+        row[own] = np.arange(1, k + 1)
+    return labels
+
+
+@pytest.mark.parametrize("shape", ["sim4", "wide", "oracle", "one class"])
+def test_lane_errors_equal_each_models_training_error(shape):
+    rng = np.random.default_rng(44)
+    if shape == "sim4":
+        ds = generate(preset(4, 0.9, 80), rng)
+    elif shape == "wide":
+        ds = block_dataset(rng, k=3, n_per_class=20, d=10, sigma2=1.5, r=970)
+    elif shape == "oracle":
+        ds = block_dataset(rng, k=3, n_per_class=20, d=2, r=2)
+    else:
+        ds = LabeledDataset.from_arrays(rng.normal(size=(7, 5)), [1] * 7)
+    labels = random_lane_labels(rng, ds.p, ds.k, 40)
+    assert (_group_sizes(labels, ds.k + 1)[:, 1:].min(axis=1) == 1).any()
+    for row, err in zip(labels, _lane_errors(ds, labels)):
+        assert err == training_error(ds, compute_centroids(ds, _partition(row, ds.k, True)))
+
+
+def test_one_pass_errors_break_score_ties_like_predict():
+    # small integers on four rows per class keep every mean, residual and
+    # score exact in any summation order, so tied scores are exact ties
+    rng = np.random.default_rng(37)
+    for has_special in (False, True):
+        ds = LabeledDataset.from_arrays(rng.integers(0, 3, size=(12, 8)).astype(float),
+                                        np.repeat([1, 2, 3], 4))
+        n_groups = ds.k + has_special
+        labels = np.array([rng.permutation(np.arange(ds.p) % n_groups) for _ in range(40)])
+        got = _lane_errors(ds, labels + (not has_special))
+        for row, err in zip(labels, got):
+            part = FeaturePartition(tuple(np.flatnonzero(row == j) for j in range(n_groups)),
+                                    has_special=has_special)
+            assert err == training_error(ds, compute_centroids(ds, part))
 
 
 def assert_same_fit(got, want):
