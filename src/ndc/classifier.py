@@ -78,8 +78,19 @@ def predict_scores_many(model: NdcModel, x: np.ndarray) -> np.ndarray:
 
 
 def predict_many(model: NdcModel, x: np.ndarray) -> np.ndarray:
-    """Class labels for the rows of ``x``; ties go to the smallest class."""
-    return predict_scores_many(model, x).argmin(axis=1) + 1
+    """Class labels for the rows of ``x``; ties go to the smallest class.
+
+    Raises ValueError on the first row (1-based) with no finite class
+    score, as when all its squared distances overflow: such a row has no
+    nearest centroid, and a tie-broken label would be a guess.  A row
+    with one finite score keeps its label, since an overflowed score is
+    larger than any finite one.
+    """
+    scores = predict_scores_many(model, x)
+    bad = np.flatnonzero(~np.isfinite(scores.min(axis=1)))
+    if bad.size:
+        raise ValueError(f"row {bad[0] + 1}: no class score is finite (its squared distances overflow)")
+    return scores.argmin(axis=1) + 1
 
 
 def empirical_risk(ds: LabeledDataset, model: NdcModel) -> float:
@@ -125,12 +136,15 @@ def save_model(model: NdcModel, path) -> None:
 def load_model(path) -> NdcModel:
     """Read a model file written by `save_model`.
 
-    The whole document is checked before the model is built; any missing
-    key, wrong type, unsorted group, non-finite centroid value or length
-    mismatch raises ValueError.
+    The whole document is checked before the model is built; text that
+    is not JSON, or any missing key, wrong type, unsorted group,
+    non-finite centroid value or length mismatch, raises ValueError.
     """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: not a JSON model file ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError("model file must hold a JSON object")
     version = doc.get("format_version")

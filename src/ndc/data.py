@@ -13,6 +13,8 @@ Conventions
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -234,59 +236,66 @@ def read_feature_csv(path, label_col: str = "label"):
 def _read_csv(path, label_col, require_labels):
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        rows, lines = [], []  # lines[r]: the file line of rows[r], blank lines skipped
         try:
             header = next(reader, None)
+            if header is None:
+                raise CsvFormatError(f"{path}: empty file")
+            label_idx = header.index(label_col) if label_col in header else None
+            if require_labels and label_idx is None:
+                raise CsvFormatError(f"{path}: no '{label_col}' column in header")
+            feat_idx = [i for i in range(len(header)) if i != label_idx]
+            if not feat_idx:
+                raise CsvFormatError(f"{path}: no feature columns")
+            # itemgetter of one index returns the cell itself, not a 1-tuple
+            feature_cells = (itemgetter(*feat_idx) if len(feat_idx) > 1
+                             else lambda row: (row[feat_idx[0]],))
+            values, labels, rows = array("d"), array("q"), None if require_labels else []
             for row in filter(None, reader):
-                rows.append(row)
-                lines.append(reader.line_num)
+                line = reader.line_num  # blank lines skipped but counted
+                if len(row) != len(header):
+                    raise CsvFormatError(f"{path}: row {line} has {len(row)} cells, header has {len(header)}")
+                try:
+                    floats = list(map(float, feature_cells(row)))
+                    clean = math.isfinite(sum(floats))
+                except ValueError:
+                    clean = False
+                if not clean:  # name the first cell that is not a finite float
+                    for i in feat_idx:
+                        try:
+                            fault = None if math.isfinite(float(row[i])) else "non-finite"
+                        except ValueError:
+                            fault = "non-numeric"
+                        if fault:
+                            raise CsvFormatError(f"{path}: row {line}, column '{header[i]}': "
+                                                 f"{fault} value {row[i]!r}")
+                values.fromlist(floats)  # only a sum that overflows gets here unclean
+                if label_idx is not None:
+                    try:
+                        labels.append(int(row[label_idx]))
+                    except ValueError:
+                        raise CsvFormatError(
+                            f"{path}: row {line}: non-integer label {row[label_idx]!r}") from None
+                    except OverflowError:  # an integer beyond int64
+                        raise CsvFormatError(
+                            f"{path}: row {line}: label {row[label_idx]!r} out of range") from None
+                if rows is not None:  # only the pass-through keeps cell text
+                    rows.append(row)
         except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
             raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
-    if header is None:
-        raise CsvFormatError(f"{path}: empty file")
-    if not rows:
+        except UnicodeDecodeError:
+            # the decoder reads ahead, so reader.line_num is not the faulty line;
+            # no UTF-8 sequence spans a line break, so each line decodes alone
+            with open(path, "rb") as raw:
+                for line, text in enumerate(raw.read().splitlines(), 1):
+                    try:
+                        text.decode("utf-8")
+                    except UnicodeDecodeError:
+                        raise CsvFormatError(f"{path}: row {line}: not UTF-8 text") from None
+            raise  # the file changed while it was read
+    if not values:
         raise CsvFormatError(f"{path}: no data rows")
-    label_idx = header.index(label_col) if label_col in header else None
-    if require_labels and label_idx is None:
-        raise CsvFormatError(f"{path}: no '{label_col}' column in header")
-    feat_idx = [i for i in range(len(header)) if i != label_idx]
-    if not feat_idx:
-        raise CsvFormatError(f"{path}: no feature columns")
-    x = np.empty((len(rows), len(feat_idx)), dtype=np.float64)
-    labels = np.empty(len(rows), dtype=np.int64) if label_idx is not None else None
-    # itemgetter of one index returns the cell itself, not a 1-tuple
-    feature_cells = (itemgetter(*feat_idx) if len(feat_idx) > 1
-                     else lambda row: (row[feat_idx[0]],))
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise CsvFormatError(f"{path}: row {lines[r]} has {len(row)} cells, header has {len(header)}")
-        try:
-            x[r] = list(map(float, feature_cells(row)))
-        except ValueError:
-            for i in feat_idx:  # name the row's first column that float() refuses
-                try:
-                    float(row[i])
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: row {lines[r]}, column '{header[i]}': non-numeric value {row[i]!r}"
-                    ) from None
-        if labels is not None:
-            try:
-                labels[r] = int(row[label_idx])
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: row {lines[r]}: non-integer label {row[label_idx]!r}"
-                ) from None
-            except OverflowError:  # an integer beyond int64
-                raise CsvFormatError(
-                    f"{path}: row {lines[r]}: label {row[label_idx]!r} out of range"
-                ) from None
-    finite = np.isfinite(x)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise CsvFormatError(f"{path}: row {lines[r]}, column '{header[feat_idx[c]]}': "
-                             f"non-finite value {rows[r][feat_idx[c]]!r}")
-    return x, labels, header, rows
+    x = np.frombuffer(values, dtype=np.float64).reshape(-1, len(feat_idx))
+    return x, None if label_idx is None else np.frombuffer(labels, dtype=np.int64), header, rows
 
 
 def write_labeled_csv(path, ds: LabeledDataset, label_col: str = "label") -> None:

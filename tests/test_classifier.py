@@ -102,6 +102,22 @@ def test_predict_rejects_non_finite_row(toy_ds, toy_partition, bad):
         predict_many(model, x)
 
 
+def test_predict_refuses_a_row_whose_scores_overflow():
+    # at 2**520 every squared distance of the third row overflows to inf,
+    # and a tie-broken argmin would call it class 1; unscaled, it is class 2
+    s = 2.0 ** 520
+    part = FeaturePartition((np.array([0]), np.array([1])))
+    unscaled = NdcModel(part, (np.array([0.0]), np.array([1.0])), k=2, p=2)
+    assert predict_many(unscaled, [7.0, 5.0]).tolist() == [2]
+    model = NdcModel(part, (np.array([0.0]), np.array([s])), k=2, p=2)
+    rows = [[0.0, s], [7 * s, s], [7 * s, 5 * s]]
+    with np.errstate(over="ignore"):
+        # tied at 0; then class 1's score overflows and class 2's, 0, is nearest
+        assert predict_many(model, rows[:2]).tolist() == [1, 2]
+        with pytest.raises(ValueError, match=r"^row 3: no class score is finite"):
+            predict_many(model, rows)
+
+
 def test_empirical_risk_toy(toy_ds, toy_partition, toy_partition_swapped):
     optimal = compute_centroids(toy_ds, toy_partition)
     assert empirical_risk(toy_ds, optimal) == 0.0
@@ -342,12 +358,13 @@ def _replaced(doc, path, new):
     return doc
 
 
-def _doc_predictions(doc, x):
-    """Nearest centroid by mean squared residual, read off the document."""
+def _doc_scores(doc, x):
+    """Each row's mean squared residual to each class centroid, read off
+    the document."""
     skip = int(doc["has_special"])
     scores = [np.square(x[:, np.array(g, dtype=np.int64) - 1] - np.array(c)).mean(axis=1)
               for g, c in zip(doc["partition"][skip:], doc["centroids"][skip:])]
-    return np.argmin(np.stack(scores, axis=1), axis=1) + 1
+    return np.stack(scores, axis=1)
 
 
 # integers stay small or start at 2**40, so that a loader which sized
@@ -382,4 +399,11 @@ def test_a_model_file_with_one_value_replaced_loads_right_or_is_refused(tmp_path
     event("loaded")
     x = np.random.default_rng(7).normal(size=(20, doc["p"])) * 3
     with np.errstate(over="ignore", invalid="ignore"):
-        np.testing.assert_array_equal(predict_many(model, x), _doc_predictions(mutated, x))
+        scores = _doc_scores(mutated, x)
+        overflowed = np.flatnonzero(~np.isfinite(scores.min(axis=1)))
+        if overflowed.size:  # a row with no nearest centroid is refused, never guessed
+            event("overflowed")
+            with pytest.raises(ValueError, match=rf"^row {overflowed[0] + 1}: "):
+                predict_many(model, x)
+            return
+        np.testing.assert_array_equal(predict_many(model, x), scores.argmin(axis=1) + 1)

@@ -260,6 +260,43 @@ def test_predict_model_with_huge_p_exit_2(tmp_path, toy_csv, capsys):
     assert not (tmp_path / "p.csv").exists()
 
 
+def test_predict_refuses_rows_whose_scores_overflow(tmp_path, capsys):
+    # the model and row of the unscaled (0, 1) centroids and row (7, 5),
+    # class 2, scaled by 2**520: the squared distances overflow
+    s = 2.0 ** 520
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"format_version": 1, "k": 2, "p": 2, "has_special": False,
+                                 "partition": [[1], [2]], "centroids": [[0.0], [s]]}))
+    data = tmp_path / "rows.csv"
+    data.write_text(f"x1,x2\n{7 * s!r},{5 * s!r}\n")
+    capsys.readouterr()
+    with np.errstate(over="ignore"):
+        assert main(["predict", str(model), str(data), "--out", str(tmp_path / "p.csv")]) == 2
+    assert "error: row 1: no class score is finite" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_predict_truncated_model_file_exit_2_naming_it(tmp_path, toy_csv, capsys):
+    model = tmp_path / "model.json"
+    main(["fit", str(toy_csv), "--restarts", "3", "--seed", "1", "--out", str(model)])
+    model.write_text(model.read_text()[:8])
+    capsys.readouterr()
+    assert main(["predict", str(model), str(toy_csv), "--out", str(tmp_path / "p.csv")]) == 2
+    assert f"error: {model}: not a JSON model file (" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows_before", [0, 1000])
+def test_fit_non_utf8_csv_exit_2_naming_file_and_row(tmp_path, capsys, rows_before):
+    # the text reader decodes 8 KiB ahead of the row it hands out, so the
+    # row is found again from the file's bytes; 1000 rows put it past 8 KiB
+    data = tmp_path / "latin.csv"
+    good = "".join(f"{i % 2 + 1},{i}.25\n" for i in range(rows_before)).encode()
+    data.write_bytes(b"label,x1\n" + good + b"1,\xe9\n2,3\n")
+    assert rows_before == 0 or len(good) > 8192
+    assert main(["fit", str(data), "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == f"error: {data}: row {rows_before + 2}: not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("label", ["1" + "0" * 30, "-" + "9" * 20])
 def test_fit_label_beyond_int64_exit_2(tmp_path, capsys, label):
     data = tmp_path / "big.csv"

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,27 @@ def test_csv_empty_rejected(tmp_path):
     path.write_text("label,x1\n")
     with pytest.raises(CsvFormatError, match="no data rows"):
         read_labeled_csv(path)
+    path.write_text("label\n")  # the header's faults come before the missing rows
+    with pytest.raises(CsvFormatError, match="no feature columns"):
+        read_labeled_csv(path)
+
+
+def test_a_labeled_read_holds_the_matrix_not_the_cell_text(tmp_path):
+    # rows are converted as they are read, so the peak is the float buffer,
+    # the dataset's copy and one row's text; every cell kept as a string
+    # until the end would cost about 12 times the matrix
+    ds = LabeledDataset.from_arrays(np.random.default_rng(3).normal(size=(12, 5000)),
+                                    np.arange(12) % 3 + 1)
+    path = tmp_path / "wide.csv"
+    write_labeled_csv(path, ds)
+    tracemalloc.start()
+    try:
+        back = read_labeled_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.x.tobytes() == ds.x.tobytes()
+    assert peak < 6 * ds.x.nbytes
 
 
 def _reference_csv_bytes(ds, label_col="label"):
@@ -384,9 +406,12 @@ def test_csv_one_feature_column_mid_label_and_float_syntax(tmp_path):
     ("1,0.5,1.0\nq,0.5,yy", r"row 3, column 'x2': non-numeric value 'yy'"),
     # a short row beats its own bad cell
     ("1,abc\n2,0.5,1.0", r"row 2 has 2 cells, header has 3"),
-    # a parse fault anywhere beats an earlier non-finite cell
-    ("1,nan,1.0\nq,0.5,1.0", r"row 3: non-integer label 'q'"),
+    # faults are named in file order: an earlier row's non-finite cell
+    # beats a later row's bad label
+    ("1,nan,1.0\nq,0.5,1.0", r"row 2, column 'x1': non-finite value 'nan'"),
     ("1,0.5,1.0\n2,1.0,inf\n1,nan,0.0", r"row 3, column 'x2': non-finite value 'inf'"),
+    # one scan names a row's first bad cell, non-finite or non-numeric
+    ("2,inf,abc", r"row 2, column 'x1': non-finite value 'inf'"),
     ("1,,1.0\n2,0.5,1.0", r"row 2, column 'x1': non-numeric value ''"),
 ])
 def test_csv_reports_the_first_fault_of_several(tmp_path, rows, message):
@@ -394,6 +419,15 @@ def test_csv_reports_the_first_fault_of_several(tmp_path, rows, message):
     path.write_text(f"label,x1,x2\n{rows}\n")
     with pytest.raises(CsvFormatError, match=message):
         read_labeled_csv(path)
+
+
+def test_csv_row_whose_sum_overflows_is_read(tmp_path):
+    # a row's cells are checked one by one only when their sum is not
+    # finite; finite cells whose sum overflows pass that check
+    path = tmp_path / "big.csv"
+    path.write_text("label,x1,x2\n1,1e308,1.5e308\n2,-1e308,-1e308\n")
+    ds = read_labeled_csv(path)
+    assert ds.x.tolist() == [[1e308, 1.5e308], [-1e308, -1e308]]
 
 
 def test_csv_leading_byte_order_mark_is_accepted(tmp_path):
