@@ -69,11 +69,16 @@ def with_lambda(model: NdcModel, lam: float | None) -> NdcModel:
 
 
 def predict_scores_many(model: NdcModel, x: np.ndarray) -> np.ndarray:
-    """Squared dn-distance of each row of ``x`` to each class centroid."""
+    """Squared dn-distance of each row of ``x`` to each class centroid.
+
+    A score whose squares overflow is infinite, without a warning: the
+    caller decides what such a row means.
+    """
     x = feature_rows(x, model.p)
     scores = np.empty((x.shape[0], model.k))
-    for j, (g, c) in enumerate(zip(model.partition.class_groups, model.centroids)):
-        scores[:, j] = np.square(x[:, g] - c).mean(axis=1)
+    with np.errstate(over="ignore"):
+        for j, (g, c) in enumerate(zip(model.partition.class_groups, model.centroids)):
+            scores[:, j] = np.square(x[:, g] - c).mean(axis=1)
     return scores
 
 
@@ -85,12 +90,33 @@ def predict_many(model: NdcModel, x: np.ndarray) -> np.ndarray:
     nearest centroid, and a tie-broken label would be a guess.  A row
     with one finite score keeps its label, since an overflowed score is
     larger than any finite one.
+
+    A score of 0 is exact when the row equals that centroid on the
+    class's features, and has underflowed otherwise.  A row whose
+    smallest score is 0 goes to the smallest class scoring an exact 0;
+    where two or more classes score 0 and every one of them has
+    underflowed, they cannot be told apart, and the row raises
+    ValueError.
     """
     scores = predict_scores_many(model, x)
-    bad = np.flatnonzero(~np.isfinite(scores.min(axis=1)))
+    best = scores.min(axis=1)
+    bad = np.flatnonzero(~np.isfinite(best))
     if bad.size:
         raise ValueError(f"row {bad[0] + 1}: no class score is finite (its squared distances overflow)")
-    return scores.argmin(axis=1) + 1
+    labels = scores.argmin(axis=1) + 1
+    zero_rows = np.flatnonzero(best == 0)
+    if zero_rows.size:
+        x = feature_rows(x, model.p)
+        pairs = list(zip(model.partition.class_groups, model.centroids))
+        for i in zero_rows:
+            zero = np.flatnonzero(scores[i] == 0)
+            exact = [j for j in zero if np.array_equal(x[i, pairs[j][0]], pairs[j][1])]
+            if exact:
+                labels[i] = exact[0] + 1
+            elif len(zero) > 1:
+                raise ValueError(f"row {i + 1}: {len(zero)} class scores underflow to 0 "
+                                 "(its squared distances are below the float range)")
+    return labels
 
 
 def empirical_risk(ds: LabeledDataset, model: NdcModel) -> float:

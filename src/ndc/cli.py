@@ -96,7 +96,7 @@ def cmd_benchmark(args) -> int:
         ds = read_labeled_csv(args.data, label_col=args.label_col)
         cv = CvConfig(folds=args.folds, seed=args.seed)
         report = run_cv_benchmark(ds, classifiers, cv, options=options,
-                                  setting=str(args.data))
+                                  setting=str(args.data), threads=args.threads)
     else:
         if args.level is None:
             raise ValueError("--sim needs --level")
@@ -198,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=HarnessOptions.final_restarts)
     p.add_argument("--tune-restarts", type=int, default=HarnessOptions.tune_restarts)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker process cap for --sim runs (default: all cores); "
-                   "--data runs are serial")
+                   help="worker process cap (default: every usable core); 1 runs "
+                   "the repetitions or folds in this process")
     p.add_argument("--out", help="write the machine-readable report CSV here")
     common(p)
     p.set_defaults(func=cmd_benchmark)

@@ -234,64 +234,79 @@ def read_feature_csv(path, label_col: str = "label"):
 
 
 def _read_csv(path, label_col, require_labels):
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return _read_rows(path, fh, label_col, require_labels)
+    except UnicodeDecodeError:
+        # the decoder reads 8 KiB ahead of the row checks, so read again a
+        # line at a time: a fault in a row before the undecodable line is
+        # then named first.  No UTF-8 sequence spans a line break, so each
+        # line decodes alone.
+        with open(path, "rb") as raw:
+            data = raw.read()
+        return _read_rows(path, _utf8_lines(path, data), label_col, require_labels)
+
+
+def _utf8_lines(path, data: bytes):
+    """The lines of ``data`` as text, line ends kept, as a file opened with
+    ``newline=""`` splits them; CsvFormatError at the first line that is
+    not UTF-8."""
+    for line, chunk in enumerate(data.splitlines(keepends=True), 1):
         try:
-            header = next(reader, None)
-            if header is None:
-                raise CsvFormatError(f"{path}: empty file")
-            label_idx = header.index(label_col) if label_col in header else None
-            if require_labels and label_idx is None:
-                raise CsvFormatError(f"{path}: no '{label_col}' column in header")
-            feat_idx = [i for i in range(len(header)) if i != label_idx]
-            if not feat_idx:
-                raise CsvFormatError(f"{path}: no feature columns")
-            # itemgetter of one index returns the cell itself, not a 1-tuple
-            feature_cells = (itemgetter(*feat_idx) if len(feat_idx) > 1
-                             else lambda row: (row[feat_idx[0]],))
-            values, labels, rows = array("d"), array("q"), None if require_labels else []
-            for row in filter(None, reader):
-                line = reader.line_num  # blank lines skipped but counted
-                if len(row) != len(header):
-                    raise CsvFormatError(f"{path}: row {line} has {len(row)} cells, header has {len(header)}")
-                try:
-                    floats = list(map(float, feature_cells(row)))
-                    clean = math.isfinite(sum(floats))
-                except ValueError:
-                    clean = False
-                if not clean:  # name the first cell that is not a finite float
-                    for i in feat_idx:
-                        try:
-                            fault = None if math.isfinite(float(row[i])) else "non-finite"
-                        except ValueError:
-                            fault = "non-numeric"
-                        if fault:
-                            raise CsvFormatError(f"{path}: row {line}, column '{header[i]}': "
-                                                 f"{fault} value {row[i]!r}")
-                values.fromlist(floats)  # only a sum that overflows gets here unclean
-                if label_idx is not None:
-                    try:
-                        labels.append(int(row[label_idx]))
-                    except ValueError:
-                        raise CsvFormatError(
-                            f"{path}: row {line}: non-integer label {row[label_idx]!r}") from None
-                    except OverflowError:  # an integer beyond int64
-                        raise CsvFormatError(
-                            f"{path}: row {line}: label {row[label_idx]!r} out of range") from None
-                if rows is not None:  # only the pass-through keeps cell text
-                    rows.append(row)
-        except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
-            raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
+            yield chunk.decode("utf-8-sig" if line == 1 else "utf-8")
         except UnicodeDecodeError:
-            # the decoder reads ahead, so reader.line_num is not the faulty line;
-            # no UTF-8 sequence spans a line break, so each line decodes alone
-            with open(path, "rb") as raw:
-                for line, text in enumerate(raw.read().splitlines(), 1):
+            raise CsvFormatError(f"{path}: row {line}: not UTF-8 text") from None
+
+
+def _read_rows(path, lines, label_col, require_labels):
+    """Parse and check the CSV text ``lines``, in file order."""
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError(f"{path}: empty file")
+        label_idx = header.index(label_col) if label_col in header else None
+        if require_labels and label_idx is None:
+            raise CsvFormatError(f"{path}: no '{label_col}' column in header")
+        feat_idx = [i for i in range(len(header)) if i != label_idx]
+        if not feat_idx:
+            raise CsvFormatError(f"{path}: no feature columns")
+        # itemgetter of one index returns the cell itself, not a 1-tuple
+        feature_cells = (itemgetter(*feat_idx) if len(feat_idx) > 1
+                         else lambda row: (row[feat_idx[0]],))
+        values, labels, rows = array("d"), array("q"), None if require_labels else []
+        for row in filter(None, reader):
+            line = reader.line_num  # blank lines skipped but counted
+            if len(row) != len(header):
+                raise CsvFormatError(f"{path}: row {line} has {len(row)} cells, header has {len(header)}")
+            try:
+                floats = list(map(float, feature_cells(row)))
+                clean = math.isfinite(sum(floats))
+            except ValueError:
+                clean = False
+            if not clean:  # name the first cell that is not a finite float
+                for i in feat_idx:
                     try:
-                        text.decode("utf-8")
-                    except UnicodeDecodeError:
-                        raise CsvFormatError(f"{path}: row {line}: not UTF-8 text") from None
-            raise  # the file changed while it was read
+                        fault = None if math.isfinite(float(row[i])) else "non-finite"
+                    except ValueError:
+                        fault = "non-numeric"
+                    if fault:
+                        raise CsvFormatError(f"{path}: row {line}, column '{header[i]}': "
+                                             f"{fault} value {row[i]!r}")
+            values.fromlist(floats)  # only a sum that overflows gets here unclean
+            if label_idx is not None:
+                try:
+                    labels.append(int(row[label_idx]))
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}: row {line}: non-integer label {row[label_idx]!r}") from None
+                except OverflowError:  # an integer beyond int64
+                    raise CsvFormatError(
+                        f"{path}: row {line}: label {row[label_idx]!r} out of range") from None
+            if rows is not None:  # only the pass-through keeps cell text
+                rows.append(row)
+    except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
+        raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
     if not values:
         raise CsvFormatError(f"{path}: no data rows")
     x = np.frombuffer(values, dtype=np.float64).reshape(-1, len(feat_idx))

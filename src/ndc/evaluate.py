@@ -8,7 +8,9 @@ tunes on the training set if it has a hyperparameter, fits, and returns
 a row labeller, the number of features used and the chosen parameters.
 ndc is the ndc-s fit with feature selection off and no tuning.  Both
 runners score each unit (a simulation repetition or a CV fold) with one
-unit scorer and build the report with one aggregator.  One nested-CV
+unit scorer and build the report with one aggregator, and both spread
+their jobs (a repetition; a fold and classifier) over one pool of worker
+processes.  One nested-CV
 scorer, over `NESTED_FOLDS` stratified folds of the training data, tunes
 the special-group multiplier for ndc-s and the shrinkage threshold for
 nsc; tuning fits use a reduced restart budget, final fits the full one.
@@ -24,6 +26,7 @@ import csv
 import math
 import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -249,6 +252,9 @@ def _knn(train, seed, options):
 
 _REGISTRY = {"ndc": _ndc, "ndc-s": _ndc_s, "nc": _nc, "nsc": _nsc, "knn": _knn}
 RUNNABLE_CLASSIFIERS = tuple(_REGISTRY)
+# The tuned classifiers, longest first: a parallel CV benchmark queues
+# their jobs ahead of the others', so no long job starts last.
+_QUEUE_FIRST = {"ndc-s": 0, "nsc": 1}
 
 
 def canonical_classifier(name: str) -> str:
@@ -386,21 +392,83 @@ def _sim_rep(args) -> list[tuple[float, float, dict] | None]:
                        rngmod.child_seed(seed, "rep", rep), options)
 
 
-def _map_in_workers(fn, jobs, workers: int) -> list:
-    """``[fn(job) for job in jobs]`` in ``workers`` processes.
+def _worker_count(threads: int | None, jobs: int) -> int:
+    """``threads`` capped at ``jobs``.  By default, the cores this process
+    may run on: its CPU affinity where the platform reports one, else
+    every core."""
+    if threads is None:
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return min(threads, jobs)
+
+
+def _openblas_function(name: str):
+    """``openblas_<name>`` of the OpenBLAS loaded in this process, or None.
+
+    numpy's bundled ``libscipy_openblas64_`` exports it as
+    ``scipy_openblas_<name>64_``, a system OpenBLAS as ``openblas_<name>``.
+    The library is found among the files this process has mapped, so the
+    lookup needs Linux's ``/proc``; elsewhere it returns None.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = (line.split(None, 5) for line in fh)
+            paths = {f[5].rstrip("\n") for f in fields if len(f) == 6}
+    except OSError:
+        return None
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}"):
+            if hasattr(lib, symbol):
+                return getattr(lib, symbol)
+    return None
+
+
+# What `_map_in_workers` hands each worker once, through the pool's initializer.
+_shared = None
+
+
+def _init_worker(shared, pin_blas: bool) -> None:
+    global _shared
+    _shared = shared
+    if pin_blas:
+        set_threads = _openblas_function("set_num_threads")
+        if set_threads is not None:
+            set_threads(1)
+
+
+def _map_in_workers(fn, jobs, workers: int, shared=None) -> list:
+    """``[fn(job) for job in jobs]`` in ``workers`` processes, in job order.
+
+    ``shared`` reaches each worker once, as the module's ``_shared``, so
+    a job need carry only what differs between jobs.  On Linux the
+    workers are forked: they inherit the loaded modules and ``shared``
+    and start in milliseconds.  Elsewhere they are spawned: ``shared``
+    is pickled once per worker, and the caller's script must guard its
+    entry point with ``if __name__ == "__main__":``.
 
     The pool already fills the cores, so each worker runs its BLAS with
     one thread unless the caller's environment says otherwise: a BLAS
     pool per worker oversubscribes the cores, and OpenBLAS threads spin
-    between products.  The workers are spawned, because a native library
-    reads these variables when it loads and a forked worker inherits the
-    parent's loaded pool.
+    between products.  A spawned worker's libraries read the thread
+    variables set here when they load; a forked one inherits the
+    parent's loaded OpenBLAS, which its initializer sets to one thread.
     """
     unset = [var for var in _THREAD_VARS if var not in os.environ]
+    method = "fork" if sys.platform.startswith("linux") else "spawn"
     os.environ.update(dict.fromkeys(unset, "1"))
     try:
         with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+                                 mp_context=multiprocessing.get_context(method),
+                                 initializer=_init_worker,
+                                 initargs=(shared, "OPENBLAS_NUM_THREADS" in unset)) as pool:
             return list(pool.map(fn, jobs))
     finally:
         for var in unset:
@@ -414,38 +482,65 @@ def run_simulation_benchmark(sim_id: int, level: float, d_or_r: int, reps: int,
     """Repeatedly draw independent train/test matrices from a preset and
     aggregate per-classifier error and feature-count statistics.
 
-    Repetitions are independent and may run in parallel worker processes;
+    Repetitions are independent and run in up to ``threads`` worker
+    processes (default: every usable core; 1 runs them in this process);
     every repetition derives its own streams from ``seed``, so results do
-    not depend on the worker count.  The workers are spawned, so a script
-    that calls this with more than one worker must guard its entry point
-    with ``if __name__ == "__main__":``.
+    not depend on the worker count.  See `_map_in_workers` for how the
+    workers start.
     """
     if reps < 2:
         raise ValueError("need at least 2 repetitions")
     names = _classifier_names(classifiers)
     options = options or HarnessOptions()
     jobs = [(sim_id, level, d_or_r, rep, names, seed, options) for rep in range(reps)]
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads > 1:
-        per_rep = _map_in_workers(_sim_rep, jobs, min(threads, reps))
+    workers = _worker_count(threads, reps)
+    if workers > 1:
+        per_rep = _map_in_workers(_sim_rep, jobs, workers)
     else:
         per_rep = [_sim_rep(job) for job in jobs]
     setting = f"sim{sim_id} level={level} " + (f"r={d_or_r}" if sim_id == 4 else f"d={d_or_r}")
     return _report(setting, "rep", names, per_rep, options)
 
 
+def _score_fold(ds: LabeledDataset, splits, seed: int, options: HarnessOptions, f: int,
+                names) -> list[tuple[float, float, dict] | None]:
+    """Score the named classifiers on outer fold ``f`` of ``splits``."""
+    tr, te = splits[f]
+    return _score_unit(names, _subset(ds, tr), ds.x[te], ds.labels[te],
+                       rngmod.child_seed(seed, "fold", f), options)
+
+
+def _cv_job(job) -> tuple[float, float, dict] | None:
+    """One (outer fold, classifier) of a CV benchmark, on the dataset,
+    splits, seed and options shared with the worker."""
+    f, name = job
+    return _score_fold(*_shared, f, [name])[0]
+
+
 def run_cv_benchmark(ds: LabeledDataset, classifiers, cv: CvConfig,
                      options: HarnessOptions | None = None,
-                     setting: str = "cv") -> EvalReport:
+                     setting: str = "cv", threads: int | None = None) -> EvalReport:
     """Cross-validated benchmark on a fixed dataset: tune on each training
-    fold (nested CV), fit, and score on the held-out fold.  Folds run one
-    after another in this process."""
+    fold (nested CV), fit, and score on the held-out fold.
+
+    Each (outer fold, classifier) is one job, and the jobs run in up to
+    ``threads`` worker processes (default: every usable core; 1 runs the
+    folds one after another in this process).  The tuned classifiers'
+    jobs, the longest, are queued first.  A job draws from its fold's
+    seed whichever worker runs it, so results do not depend on the
+    worker count.
+    """
     names = _classifier_names(classifiers)
     options = options or HarnessOptions()
-    per_fold = [_score_unit(names, _subset(ds, tr), ds.x[te], ds.labels[te],
-                            rngmod.child_seed(cv.seed, "fold", f), options)
-                for f, (tr, te) in enumerate(k_fold_split(ds, cv))]
+    splits = k_fold_split(ds, cv)
+    ordered = sorted(dict.fromkeys(names),
+                     key=lambda name: _QUEUE_FIRST.get(name, len(_QUEUE_FIRST)))
+    jobs = [(f, name) for name in ordered for f in range(cv.folds)]
+    workers = _worker_count(threads, len(jobs))
+    if workers > 1:
+        done = dict(zip(jobs, _map_in_workers(_cv_job, jobs, workers,
+                                              shared=(ds, splits, cv.seed, options))))
+        per_fold = [[done[f, name] for name in names] for f in range(cv.folds)]
+    else:
+        per_fold = [_score_fold(ds, splits, cv.seed, options, f, names) for f in range(cv.folds)]
     return _report(f"{setting} folds={cv.folds}", "fold", names, per_fold, options)

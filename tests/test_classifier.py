@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset
@@ -116,6 +116,21 @@ def test_predict_refuses_a_row_whose_scores_overflow():
         assert predict_many(model, rows[:2]).tolist() == [1, 2]
         with pytest.raises(ValueError, match=r"^row 3: no class score is finite"):
             predict_many(model, rows)
+
+
+def test_predict_refuses_a_row_whose_scores_underflow_alike():
+    # at 2**-560 the squares of differences near 2**-560 underflow to 0
+    s = 2.0 ** -560
+    part = FeaturePartition((np.array([0]), np.array([1])))
+    model = NdcModel(part, (np.array([0.0]), np.array([s])), k=2, p=2)
+    rows = [[0.0, 5 * s],      # class 1 exact, class 2 underflowed: class 1
+            [7 * s, s],        # class 1 underflowed, class 2 exact: class 2, not the tie's 1
+            [s, 2.0 ** -500],  # only class 1 scores 0, so it is nearest
+            [0.0, s],          # both exact: the tie goes to class 1
+            [7 * s, 5 * s]]    # both underflowed: unscaled, class 2 (49 against 16)
+    assert predict_many(model, rows[:4]).tolist() == [1, 2, 1, 1]
+    with pytest.raises(ValueError, match=r"^row 5: 2 class scores underflow to 0"):
+        predict_many(model, rows)
 
 
 def test_empirical_risk_toy(toy_ds, toy_partition, toy_partition_swapped):
@@ -379,15 +394,24 @@ _JSON_VALUES = st.recursive(
     max_leaves=5)
 
 
-@settings(max_examples=100)
-@given(data=st.data())
-def test_a_model_file_with_one_value_replaced_loads_right_or_is_refused(tmp_path_factory, data):
-    doc = data.draw(st.sampled_from(_MODEL_DOCS))
-    path = data.draw(st.sampled_from(list(_value_paths(doc))))
+@st.composite
+def _one_value_replaced(draw):
+    """A model document, the path of one of its values, and a new value."""
+    doc = draw(st.sampled_from(_MODEL_DOCS))
+    path = draw(st.sampled_from(list(_value_paths(doc))))
     # a value of the original's own kind half the time, so that many
     # replaced files still load and their predictions get compared
     same_kind = _SCALARS.get(type(_at(doc, path)))
-    new = data.draw(_JSON_VALUES if same_kind is None else same_kind | _JSON_VALUES)
+    return doc, path, draw(_JSON_VALUES if same_kind is None else same_kind | _JSON_VALUES)
+
+
+@settings(max_examples=100)
+@given(case=_one_value_replaced())
+# centroids near the float limit: every score overflows, so the file
+# loads and each row is refused
+@example(case=(_MODEL_DOCS[0], ("centroids",), [[], [1e308], [-1.5e308]]))
+def test_a_model_file_with_one_value_replaced_loads_right_or_is_refused(tmp_path_factory, case):
+    doc, path, new = case
     mutated = _replaced(doc, path, new)
     model_path = tmp_path_factory.getbasetemp() / "mutated-model.json"
     model_path.write_text(json.dumps(mutated))

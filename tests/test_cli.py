@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -270,9 +271,28 @@ def test_predict_refuses_rows_whose_scores_overflow(tmp_path, capsys):
     data = tmp_path / "rows.csv"
     data.write_text(f"x1,x2\n{7 * s!r},{5 * s!r}\n")
     capsys.readouterr()
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["predict", str(model), str(data), "--out", str(tmp_path / "p.csv")]) == 2
-    assert "error: row 1: no class score is finite" in capsys.readouterr().err
+    # the refusal is the only message: numpy's overflow warning is not shown
+    assert capsys.readouterr().err == ("error: row 1: no class score is finite "
+                                       "(its squared distances overflow)\n")
+    assert [str(w.message) for w in caught] == []
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_predict_refuses_rows_whose_scores_underflow(tmp_path, capsys):
+    # the same model and row scaled by 2**-560: both squared distances
+    # underflow to 0, and the unscaled model's class 2 cannot be told apart
+    s = 2.0 ** -560
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"format_version": 1, "k": 2, "p": 2, "has_special": False,
+                                 "partition": [[1], [2]], "centroids": [[0.0], [s]]}))
+    data = tmp_path / "rows.csv"
+    data.write_text(f"x1,x2\n{7 * s!r},{5 * s!r}\n")
+    capsys.readouterr()
+    assert main(["predict", str(model), str(data), "--out", str(tmp_path / "p.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: row 1: 2 class scores underflow to 0")
     assert not (tmp_path / "p.csv").exists()
 
 
@@ -295,6 +315,18 @@ def test_fit_non_utf8_csv_exit_2_naming_file_and_row(tmp_path, capsys, rows_befo
     assert rows_before == 0 or len(good) > 8192
     assert main(["fit", str(data), "--out", str(tmp_path / "m.json")]) == 2
     assert capsys.readouterr().err == f"error: {data}: row {rows_before + 2}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("rows_before", [0, 1000])
+def test_fit_non_utf8_csv_names_an_earlier_fault_first(tmp_path, capsys, rows_before):
+    # the bad byte is decoded in the same 8 KiB block as the row before it,
+    # whose fault comes first in the file
+    data = tmp_path / "latin.csv"
+    good = "".join(f"{i % 2 + 1},{i}.25\n" for i in range(rows_before)).encode()
+    data.write_bytes(b"label,x1\n" + good + b"1,abc\n2,\xe9\n")
+    assert main(["fit", str(data), "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data}: row {rows_before + 2}, column 'x1': non-numeric value 'abc'\n")
 
 
 @pytest.mark.parametrize("label", ["1" + "0" * 30, "-" + "9" * 20])
@@ -340,6 +372,19 @@ def test_benchmark_cv_mode(tmp_path, toy_ds, capsys):
     rows = out.read_text().splitlines()
     assert rows[0] == "classifier,setting,mean_error,se_error,mean_features,se_features,reps"
     assert len(rows) == 3
+
+
+def test_benchmark_data_report_is_the_same_in_one_process_and_in_workers(tmp_path, toy_ds):
+    x = np.tile(toy_ds.x, (6, 1)) + np.random.default_rng(4).normal(size=(24, 2))
+    data = tmp_path / "data.csv"
+    write_labeled_csv(data, LabeledDataset.from_arrays(x, np.tile(toy_ds.labels, 6)))
+    reports = []
+    for threads in (["--threads", "1"], []):
+        out = tmp_path / f"report{len(reports)}.csv"
+        assert main(["benchmark", "--data", str(data), "--folds", "3", "--restarts", "3",
+                     "--tune-restarts", "2", "--seed", "2", "--out", str(out), *threads]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_benchmark_sim_mode_quick(tmp_path, capsys):

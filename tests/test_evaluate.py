@@ -1,5 +1,7 @@
 import math
+import multiprocessing
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from ndc.evaluate import (
     tune_delta,
     tune_lambda,
 )
-from ndc.evaluate import _THREAD_VARS, _map_in_workers
+from ndc.evaluate import _THREAD_VARS, _map_in_workers, _openblas_function
 
 
 def test_misclassification_examples():
@@ -354,3 +356,83 @@ def test_pool_workers_get_one_blas_thread_unless_set(monkeypatch):
                                              "MKL_NUM_THREADS": "3"}
     assert "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ
     assert os.environ["MKL_NUM_THREADS"] == "3"
+
+
+def _outcomes(report):
+    return [(s.name, s.errors, s.features, s.params, s.failures) for s in report.stats]
+
+
+@pytest.mark.parametrize("constant", [False, True])
+def test_cv_benchmark_is_the_same_at_any_worker_count(constant):
+    # every classifier, and on constant data nsc fails on every fold
+    rng = np.random.default_rng(31)
+    labels = np.repeat([1, 2, 3], 6)
+    x = np.tile([5.0, 7.0, 1.0, 2.0, 3.0], (18, 1)) if constant else (
+        rng.normal(size=(18, 5)) + 2.0 * np.eye(3, 5)[labels - 1])
+    ds = LabeledDataset.from_arrays(x, labels)
+    options = HarnessOptions(lambda_grid=(0.9, math.inf), tune_restarts=2, final_restarts=3,
+                             knn_neighbors=3, delta_grid_size=4)
+    names = ["knn", "ndc", "nsc", "nc", "ndc-s"]
+    reports = [run_cv_benchmark(ds, names, CvConfig(folds=3, seed=8), options=options,
+                                threads=threads) for threads in (1, 2, 3)]
+    assert _outcomes(reports[0]) == _outcomes(reports[1]) == _outcomes(reports[2])
+    assert [s.name for s in reports[0].stats] == names
+    assert dict((s.name, s.failures) for s in reports[0].stats)["nsc"] == (3 if constant else 0)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_cv_benchmark_refuses_fewer_than_one_thread(toy_ds, threads):
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        run_cv_benchmark(toy_ds, ["nc"], CvConfig(folds=2, seed=0), threads=threads)
+
+
+class _Broken(Exception):
+    pass
+
+
+def _broken(train, seed, options):
+    raise _Broken(f"broken fit on {train.n} rows")
+
+
+def test_cv_benchmark_passes_on_a_programming_error_from_a_worker(monkeypatch):
+    # not a fit failure, so no unit counts it: it reaches the caller as a
+    # serial run raises it, and no worker is left behind
+    import ndc.evaluate
+
+    monkeypatch.setitem(ndc.evaluate._REGISTRY, "nc", _broken)
+    rng = np.random.default_rng(32)
+    labels = np.repeat([1, 2], 6)
+    ds = LabeledDataset.from_arrays(rng.normal(size=(12, 4)) + np.eye(2, 4)[labels - 1], labels)
+    raised = []
+    for threads in (1, 2):
+        with pytest.raises(_Broken) as info:
+            run_cv_benchmark(ds, ["knn", "nc"], CvConfig(folds=3, seed=1), threads=threads)
+        raised.append((type(info.value), str(info.value)))
+        assert multiprocessing.active_children() == []
+    assert raised[0] == raised[1] == (_Broken, "broken fit on 8 rows")
+
+
+def _blas_threads(job):
+    return _openblas_function("get_num_threads")()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers are forked on Linux")
+def test_forked_workers_run_openblas_on_one_thread_unless_set(monkeypatch):
+    get_threads = _openblas_function("get_num_threads")
+    set_threads = _openblas_function("set_num_threads")
+    if get_threads is None or set_threads is None:
+        pytest.skip("no OpenBLAS thread-count symbols found in this process")
+    before = get_threads()
+    set_threads(2)  # a forked worker inherits this pool, as on an unpinned 2-core host
+    try:
+        if get_threads() != 2:
+            pytest.skip("OpenBLAS would not take 2 threads here")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert _map_in_workers(_blas_threads, [0, 1], workers=2) == [1, 1]
+        assert get_threads() == 2  # the caller's own pool is left as it was
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert _map_in_workers(_blas_threads, [0, 1], workers=2) == [2, 2]
+    finally:
+        set_threads(before)
+    assert multiprocessing.active_children() == []

@@ -52,8 +52,10 @@ def test_tracer_sees_tuning_and_baselines_and_restores_names():
     tracer.install()
     try:
         assert ndc.evaluate.tune_lambda is not before["ndc.evaluate", "tune_lambda"]
+        # the tracer records in this process only, not in pool workers
         report = ndc.evaluate.run_cv_benchmark(ds, ["ndc-s", "nc", "nsc", "knn"],
-                                               CvConfig(folds=2, seed=3), options=options)
+                                               CvConfig(folds=2, seed=3), options=options,
+                                               threads=1)
     finally:
         tracer.uninstall()
 
