@@ -3,6 +3,9 @@ and k-nearest neighbors.
 
 All tie-breaking is deterministic: equal scores go to the smallest class
 index, and equal neighbor distances to the smaller training-row index.
+A row whose squared distances overflow gets no label: nc and nsc raise
+ValueError on the first row with no finite class score, kNN on the
+first row without m training rows at a finite distance.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, feature_rows, row_sq_norms, sq_distances
+from .data import LabeledDataset, feature_rows, nearest_class, row_sq_norms, sq_distances
 
 
 # ---------------------------------------------------------------------------
@@ -31,8 +34,9 @@ def nc_fit(ds: LabeledDataset) -> NcModel:
 
 def nc_predict_many(model: NcModel, x: np.ndarray) -> np.ndarray:
     x = feature_rows(x, model.p)
-    d2 = np.square(x[:, None, :] - model.centroids[None, :, :]).sum(axis=2)
-    return d2.argmin(axis=1) + 1
+    with np.errstate(over="ignore"):
+        d2 = np.square(x[:, None, :] - model.centroids[None, :, :]).sum(axis=2)
+    return nearest_class(d2)
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +76,12 @@ def _nsc_stats(ds: LabeledDataset):
         raise ValueError("pooled within-class sd needs n > k")
     overall = ds.x.mean(axis=0)
     within_ss = np.zeros(ds.p)
-    for ss in ds.class_ss:
-        within_ss += ss
+    with np.errstate(over="ignore"):
+        for ss in ds.class_ss:
+            within_ss += ss
     s_i = np.sqrt(within_ss / (ds.n - ds.k))
+    if not np.isfinite(s_i).all():
+        raise ValueError("pooled within-class sd is not finite (the sums of squares overflow)")
     s0 = float(np.median(s_i))
     scale = s_i + s0
     if np.any(scale == 0):
@@ -109,15 +116,17 @@ def nsc_fit(ds: LabeledDataset, delta: float) -> NscModel:
 
 def nsc_scores_many(model: NscModel, x: np.ndarray) -> np.ndarray:
     """Discriminant score per class: standardized squared distance to the
-    shrunken centroid minus twice the log prior (smaller is better)."""
+    shrunken centroid minus twice the log prior (smaller is better).  A
+    score whose squares overflow is infinite, without a warning."""
     x = feature_rows(x, model.p)
-    z = np.subtract(x[:, None, :], model.shrunken[None, :, :])  # the one (rows x k x p) cube
-    z /= model.scale
-    return np.square(z, out=z).sum(axis=2) - 2.0 * np.log(model.priors)[None, :]
+    with np.errstate(over="ignore"):
+        z = np.subtract(x[:, None, :], model.shrunken[None, :, :])  # the one (rows x k x p) cube
+        z /= model.scale
+        return np.square(z, out=z).sum(axis=2) - 2.0 * np.log(model.priors)[None, :]
 
 
 def nsc_predict_many(model: NscModel, x: np.ndarray) -> np.ndarray:
-    return nsc_scores_many(model, x).argmin(axis=1) + 1
+    return nearest_class(nsc_scores_many(model, x))
 
 
 def nsc_delta_grid(ds: LabeledDataset, size: int = 30) -> np.ndarray:
@@ -148,11 +157,17 @@ def knn_fit(ds: LabeledDataset, m: int = 15) -> KnnModel:
 
 def knn_predict_many(model: KnnModel, x: np.ndarray) -> np.ndarray:
     x = feature_rows(x, model.p)
-    d2 = sq_distances(x, row_sq_norms(x), model.x, row_sq_norms(model.x))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed norm makes inf or NaN
+        d2 = sq_distances(x, row_sq_norms(x), model.x, row_sq_norms(model.x))
     # The m nearest training rows: every row closer than the m-th
     # smallest distance t, then rows at exactly t in training-row order,
-    # so equal distances resolve to the smaller training row.
+    # so equal distances resolve to the smaller training row.  A NaN
+    # sorts last, so a finite t leaves it out, as it does an inf.
     t = np.partition(d2, model.m - 1, axis=1)[:, [model.m - 1]]
+    bad = np.flatnonzero(~np.isfinite(t[:, 0]))
+    if bad.size:
+        raise ValueError(f"row {bad[0] + 1}: no finite distance to {model.m} training rows "
+                         "(its squared distances overflow)")
     nearer = d2 < t
     at_t = d2 == t
     # Freeing the distances and counting ties in int32 keeps the peak

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import FeaturePartition, LabeledDataset, feature_rows, validate_partition
+from .data import (FeaturePartition, LabeledDataset, feature_rows, nearest_class,
+                   validate_partition)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -99,12 +100,8 @@ def predict_many(model: NdcModel, x: np.ndarray) -> np.ndarray:
     ValueError.
     """
     scores = predict_scores_many(model, x)
-    best = scores.min(axis=1)
-    bad = np.flatnonzero(~np.isfinite(best))
-    if bad.size:
-        raise ValueError(f"row {bad[0] + 1}: no class score is finite (its squared distances overflow)")
-    labels = scores.argmin(axis=1) + 1
-    zero_rows = np.flatnonzero(best == 0)
+    labels = nearest_class(scores)
+    zero_rows = np.flatnonzero(scores.min(axis=1) == 0)
     if zero_rows.size:
         x = feature_rows(x, model.p)
         pairs = list(zip(model.partition.class_groups, model.centroids))

@@ -1,5 +1,6 @@
 """Core dataset types, the dimensionality-normalized norm, the Gram-form
-distance kernel, row checks for prediction input, and CSV ingestion.
+distance kernel, row checks for prediction input, the nearest-class
+rule on class scores, and CSV ingestion.
 
 Conventions
 -----------
@@ -173,6 +174,20 @@ def sq_distances(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarra
     return np.maximum(d2, 0.0, out=d2)
 
 
+def nearest_class(scores: np.ndarray) -> np.ndarray:
+    """The class (1-based column) of each row's smallest score in the
+    (rows x k) ``scores``; ties go to the smallest class.
+
+    Raises ValueError on the first row (1-based) with no finite class
+    score, as when all its squared distances overflow: such a row has no
+    nearest class, and a tie-broken label would be a guess.
+    """
+    bad = np.flatnonzero(~np.isfinite(scores.min(axis=1)))
+    if bad.size:
+        raise ValueError(f"row {bad[0] + 1}: no class score is finite (its squared distances overflow)")
+    return scores.argmin(axis=1) + 1
+
+
 def feature_rows(x, p: int) -> np.ndarray:
     """Rows to classify, as a 2-D float64 array of ``p`` columns.
 
@@ -265,6 +280,9 @@ def _read_rows(path, lines, label_col, require_labels):
         header = next(reader, None)
         if header is None:
             raise CsvFormatError(f"{path}: empty file")
+        if header.count(label_col) > 1:
+            raise CsvFormatError(f"{path}: column '{label_col}' appears "
+                                 f"{header.count(label_col)} times in the header")
         label_idx = header.index(label_col) if label_col in header else None
         if require_labels and label_idx is None:
             raise CsvFormatError(f"{path}: no '{label_col}' column in header")

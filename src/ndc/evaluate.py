@@ -8,9 +8,10 @@ tunes on the training set if it has a hyperparameter, fits, and returns
 a row labeller, the number of features used and the chosen parameters.
 ndc is the ndc-s fit with feature selection off and no tuning.  Both
 runners score each unit (a simulation repetition or a CV fold) with one
-unit scorer and build the report with one aggregator, and both spread
-their jobs (a repetition; a fold and classifier) over one pool of worker
-processes.  One nested-CV
+unit scorer and build the report with one aggregator.  Both hand their
+jobs (a repetition; an outer fold and classifier) to `_map_in_workers`,
+the one place that decides where jobs run: in this process at one
+worker, else in a pool of worker processes.  One nested-CV
 scorer, over `NESTED_FOLDS` stratified folds of the training data, tunes
 the special-group multiplier for ndc-s and the shrinkage threshold for
 nsc; tuning fits use a reduced restart budget, final fits the full one.
@@ -252,8 +253,8 @@ def _knn(train, seed, options):
 
 _REGISTRY = {"ndc": _ndc, "ndc-s": _ndc_s, "nc": _nc, "nsc": _nsc, "knn": _knn}
 RUNNABLE_CLASSIFIERS = tuple(_REGISTRY)
-# The tuned classifiers, longest first: a parallel CV benchmark queues
-# their jobs ahead of the others', so no long job starts last.
+# The tuned classifiers, longest first: a CV benchmark queues their jobs
+# ahead of the others', so that in a pool no long job starts last.
 _QUEUE_FIRST = {"ndc-s": 0, "nsc": 1}
 
 
@@ -381,27 +382,14 @@ def _report(setting: str, unit: str, names, units, options: HarnessOptions) -> E
     return EvalReport(setting=setting, unit=unit, stats=stats, notes=tuple(notes))
 
 
-def _sim_rep(args) -> list[tuple[float, float, dict] | None]:
-    """One simulation repetition: draw train/test, then score it.  Runs
-    in a worker process when parallel."""
-    sim_id, level, d_or_r, rep, names, seed, options = args
-    config = preset(sim_id, level, d_or_r)
+def _sim_rep(shared, rep: int) -> list[tuple[float, float, dict] | None]:
+    """Repetition ``rep`` of a simulation benchmark: draw train/test from
+    the shared preset, then score it."""
+    config, names, seed, options = shared
     train = generate(config, rngmod.generator(seed, "rep", rep, "train"))
     test = generate(config, rngmod.generator(seed, "rep", rep, "test"))
     return _score_unit(names, train, test.x, test.labels,
                        rngmod.child_seed(seed, "rep", rep), options)
-
-
-def _worker_count(threads: int | None, jobs: int) -> int:
-    """``threads`` capped at ``jobs``.  By default, the cores this process
-    may run on: its CPU affinity where the platform reports one, else
-    every core."""
-    if threads is None:
-        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return min(threads, jobs)
 
 
 def _openblas_function(name: str):
@@ -431,7 +419,8 @@ def _openblas_function(name: str):
     return None
 
 
-# What `_map_in_workers` hands each worker once, through the pool's initializer.
+# The job function and its shared argument, which `_map_in_workers`
+# hands each worker once, through the pool's initializer.
 _shared = None
 
 
@@ -444,15 +433,26 @@ def _init_worker(shared, pin_blas: bool) -> None:
             set_threads(1)
 
 
-def _map_in_workers(fn, jobs, workers: int, shared=None) -> list:
-    """``[fn(job) for job in jobs]`` in ``workers`` processes, in job order.
+def _run_job(job):
+    fn, shared = _shared
+    return fn(shared, job)
 
-    ``shared`` reaches each worker once, as the module's ``_shared``, so
-    a job need carry only what differs between jobs.  On Linux the
-    workers are forked: they inherit the loaded modules and ``shared``
-    and start in milliseconds.  Elsewhere they are spawned: ``shared``
-    is pickled once per worker, and the caller's script must guard its
-    entry point with ``if __name__ == "__main__":``.
+
+def _map_in_workers(fn, shared, jobs, threads: int | None) -> list:
+    """``[fn(shared, job) for job in jobs]``, in job order, in up to
+    ``threads`` processes.
+
+    This is where every benchmark job runs.  ``threads`` defaults to the
+    cores this process may run on (its CPU affinity where the platform
+    reports one, else every core); below 1 raises ValueError.  Capped at
+    the job count, one worker runs the jobs here, in this process.  More
+    start a pool, and ``fn`` and ``shared`` reach each worker once, so a
+    job need carry only what differs between jobs.  On Linux the workers
+    are forked: they inherit the loaded modules and ``shared`` and start
+    in milliseconds.  Elsewhere they are spawned: ``fn`` must be a
+    module-level function, ``shared`` is pickled once per worker, and the
+    caller's script must guard its entry point with
+    ``if __name__ == "__main__":``.
 
     The pool already fills the cores, so each worker runs its BLAS with
     one thread unless the caller's environment says otherwise: a BLAS
@@ -461,6 +461,15 @@ def _map_in_workers(fn, jobs, workers: int, shared=None) -> list:
     variables set here when they load; a forked one inherits the
     parent's loaded OpenBLAS, which its initializer sets to one thread.
     """
+    if threads is None:
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    jobs = list(jobs)
+    workers = min(threads, len(jobs))
+    if workers <= 1:
+        return [fn(shared, job) for job in jobs]
     unset = [var for var in _THREAD_VARS if var not in os.environ]
     method = "fork" if sys.platform.startswith("linux") else "spawn"
     os.environ.update(dict.fromkeys(unset, "1"))
@@ -468,8 +477,8 @@ def _map_in_workers(fn, jobs, workers: int, shared=None) -> list:
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context(method),
                                  initializer=_init_worker,
-                                 initargs=(shared, "OPENBLAS_NUM_THREADS" in unset)) as pool:
-            return list(pool.map(fn, jobs))
+                                 initargs=((fn, shared), "OPENBLAS_NUM_THREADS" in unset)) as pool:
+            return list(pool.map(_run_job, jobs))
     finally:
         for var in unset:
             del os.environ[var]
@@ -482,39 +491,31 @@ def run_simulation_benchmark(sim_id: int, level: float, d_or_r: int, reps: int,
     """Repeatedly draw independent train/test matrices from a preset and
     aggregate per-classifier error and feature-count statistics.
 
-    Repetitions are independent and run in up to ``threads`` worker
-    processes (default: every usable core; 1 runs them in this process);
-    every repetition derives its own streams from ``seed``, so results do
-    not depend on the worker count.  See `_map_in_workers` for how the
-    workers start.
+    Repetitions are independent, one job each, and run in up to
+    ``threads`` worker processes (default: every usable core; 1 runs them
+    in this process); every repetition derives its own streams from
+    ``seed``, so results do not depend on the worker count.  A bad preset
+    raises ValueError before any job runs.  See `_map_in_workers` for
+    where the jobs run.
     """
     if reps < 2:
         raise ValueError("need at least 2 repetitions")
     names = _classifier_names(classifiers)
+    config = preset(sim_id, level, d_or_r)
     options = options or HarnessOptions()
-    jobs = [(sim_id, level, d_or_r, rep, names, seed, options) for rep in range(reps)]
-    workers = _worker_count(threads, reps)
-    if workers > 1:
-        per_rep = _map_in_workers(_sim_rep, jobs, workers)
-    else:
-        per_rep = [_sim_rep(job) for job in jobs]
+    per_rep = _map_in_workers(_sim_rep, (config, names, seed, options), range(reps), threads)
     setting = f"sim{sim_id} level={level} " + (f"r={d_or_r}" if sim_id == 4 else f"d={d_or_r}")
     return _report(setting, "rep", names, per_rep, options)
 
 
-def _score_fold(ds: LabeledDataset, splits, seed: int, options: HarnessOptions, f: int,
-                names) -> list[tuple[float, float, dict] | None]:
-    """Score the named classifiers on outer fold ``f`` of ``splits``."""
-    tr, te = splits[f]
-    return _score_unit(names, _subset(ds, tr), ds.x[te], ds.labels[te],
-                       rngmod.child_seed(seed, "fold", f), options)
-
-
-def _cv_job(job) -> tuple[float, float, dict] | None:
-    """One (outer fold, classifier) of a CV benchmark, on the dataset,
-    splits, seed and options shared with the worker."""
+def _cv_job(shared, job) -> tuple[float, float, dict] | None:
+    """One (outer fold, classifier) of a CV benchmark, on the shared
+    dataset, splits, seed and options."""
+    ds, splits, seed, options = shared
     f, name = job
-    return _score_fold(*_shared, f, [name])[0]
+    tr, te = splits[f]
+    return _score_unit([name], _subset(ds, tr), ds.x[te], ds.labels[te],
+                       rngmod.child_seed(seed, "fold", f), options)[0]
 
 
 def run_cv_benchmark(ds: LabeledDataset, classifiers, cv: CvConfig,
@@ -525,10 +526,9 @@ def run_cv_benchmark(ds: LabeledDataset, classifiers, cv: CvConfig,
 
     Each (outer fold, classifier) is one job, and the jobs run in up to
     ``threads`` worker processes (default: every usable core; 1 runs the
-    folds one after another in this process).  The tuned classifiers'
-    jobs, the longest, are queued first.  A job draws from its fold's
-    seed whichever worker runs it, so results do not depend on the
-    worker count.
+    same jobs in this process).  The tuned classifiers' jobs, the
+    longest, are queued first.  A job draws from its fold's seed wherever
+    it runs, so results do not depend on the worker count.
     """
     names = _classifier_names(classifiers)
     options = options or HarnessOptions()
@@ -536,11 +536,7 @@ def run_cv_benchmark(ds: LabeledDataset, classifiers, cv: CvConfig,
     ordered = sorted(dict.fromkeys(names),
                      key=lambda name: _QUEUE_FIRST.get(name, len(_QUEUE_FIRST)))
     jobs = [(f, name) for name in ordered for f in range(cv.folds)]
-    workers = _worker_count(threads, len(jobs))
-    if workers > 1:
-        done = dict(zip(jobs, _map_in_workers(_cv_job, jobs, workers,
-                                              shared=(ds, splits, cv.seed, options))))
-        per_fold = [[done[f, name] for name in names] for f in range(cv.folds)]
-    else:
-        per_fold = [_score_fold(ds, splits, cv.seed, options, f, names) for f in range(cv.folds)]
+    done = dict(zip(jobs, _map_in_workers(_cv_job, (ds, splits, cv.seed, options), jobs,
+                                          threads)))
+    per_fold = [[done[f, name] for name in names] for f in range(cv.folds)]
     return _report(f"{setting} folds={cv.folds}", "fold", names, per_fold, options)

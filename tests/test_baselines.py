@@ -269,3 +269,52 @@ def test_baselines_reject_non_finite_row(fit_predict):
         predict_rows(model, x)
     with pytest.raises(ValueError, match="expected 3 features"):
         predict_rows(model, x[:, :2])
+
+
+def _scaled_pair(rng):
+    """A two-class training set and ten test rows from the same classes."""
+    labels = np.repeat([1, 2], 5)
+    shift = 2.0 * np.eye(2, 4)[labels - 1]
+    return rng.normal(size=(10, 4)) + shift, labels, rng.normal(size=(10, 4)) + shift
+
+
+_FIT_PREDICT = {
+    "nc": lambda ds: (nc_fit(ds), nc_predict_many),
+    "nsc": lambda ds: (nsc_fit(ds, 0.5), nsc_predict_many),
+    "knn": lambda ds: (knn_fit(ds, m=3), knn_predict_many),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIT_PREDICT))
+@pytest.mark.parametrize("e", [-400, 400])
+def test_baselines_keep_their_labels_under_a_finite_power_of_two_scaling(name, e):
+    x, labels, test = _scaled_pair(np.random.default_rng(37))
+    fit_predict = _FIT_PREDICT[name]
+    model, predict = fit_predict(LabeledDataset.from_arrays(x, labels))
+    scaled, predict = fit_predict(LabeledDataset.from_arrays(x * 2.0 ** e, labels))
+    assert predict(scaled, test * 2.0 ** e).tolist() == predict(model, test).tolist()
+
+
+@pytest.mark.parametrize("name,message", [
+    ("nc", "row 3: no class score is finite"),
+    ("nsc", "row 3: no class score is finite"),
+    ("knn", "row 3: no finite distance to 3 training rows"),
+])
+def test_baselines_refuse_rows_whose_squared_distances_overflow(name, message):
+    # a tie-broken label at 2^520 would be a guess: each used to label
+    # every row of a scaled test set class 1, or misorder the neighbors
+    x, labels, test = _scaled_pair(np.random.default_rng(37))
+    fit_predict = _FIT_PREDICT[name]
+    model, predict = fit_predict(LabeledDataset.from_arrays(x, labels))
+    one_scaled = test.copy()
+    one_scaled[2] *= 2.0 ** 520
+    with pytest.raises(ValueError, match=message):
+        predict(model, one_scaled)
+    scaled = LabeledDataset.from_arrays(x * 2.0 ** 520, labels)
+    if name == "nsc":  # the within-class sums of squares overflow
+        with pytest.raises(ValueError, match="pooled within-class sd is not finite"):
+            fit_predict(scaled)
+    else:
+        model, predict = fit_predict(scaled)
+        with pytest.raises(ValueError, match=message.replace("row 3", "row 1")):
+            predict(model, test * 2.0 ** 520)

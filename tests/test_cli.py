@@ -223,6 +223,20 @@ def test_predict_non_finite_row_exit_2(tmp_path, toy_csv, capsys):
     assert "row 3, column 'x2': non-finite value 'nan'" in capsys.readouterr().err
 
 
+def test_fit_and_predict_refuse_a_label_column_named_twice(tmp_path, toy_csv, capsys):
+    model = tmp_path / "model.json"
+    main(["fit", str(toy_csv), "--restarts", "3", "--seed", "1", "--out", str(model)])
+    twice = tmp_path / "twice.csv"
+    twice.write_text("label,x1,label\n1,0.0,5.0\n2,4.0,6.0\n1,0.0,7.0\n2,6.0,6.0\n")
+    capsys.readouterr()
+    assert main(["fit", str(twice), "--restarts", "3", "--out", str(tmp_path / "m2.json")]) == 2
+    assert "column 'label' appears 2 times in the header" in capsys.readouterr().err
+    assert not (tmp_path / "m2.json").exists()
+    assert main(["predict", str(model), str(twice), "--out", str(tmp_path / "p.csv")]) == 2
+    assert "column 'label' appears 2 times in the header" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_predict_model_without_has_special_exit_2(tmp_path, toy_csv, capsys):
     model = tmp_path / "model.json"
     main(["fit", str(toy_csv), "--restarts", "3", "--seed", "1", "--out", str(model)])

@@ -210,7 +210,7 @@ def _expected_read(fields):
     must give, worked out from them directly: ``(x, labels)``, or None
     where the file must be refused."""
     header, *rows = fields
-    if "label" not in header or len(header) < 2:
+    if header.count("label") != 1 or len(header) < 2:  # no label column, or two
         return None
     if any(len(cell) > csv.field_size_limit() for row in fields for cell in row):
         return None
@@ -312,6 +312,23 @@ def test_csv_missing_label_column(tmp_path):
     x, labels, header, rows = read_feature_csv(path)
     assert labels is None
     assert x.tolist() == [[1.0, 2.0]]
+
+
+def test_csv_label_column_named_twice_rejected(tmp_path):
+    # the second 'label' column is no feature; the header is named before
+    # row 2's faults
+    path = tmp_path / "twice.csv"
+    path.write_text("label,x1,label\n1,0.5,2\n2,nan,1\n")
+    message = "twice.csv: column 'label' appears 2 times in the header"
+    with pytest.raises(CsvFormatError, match=message):
+        read_labeled_csv(path)
+    with pytest.raises(CsvFormatError, match=message):
+        read_feature_csv(path)
+    path.write_text("y,label,x1,y,y\n1,1,0.5,3,1\n")
+    with pytest.raises(CsvFormatError, match="column 'y' appears 3 times"):
+        read_labeled_csv(path, label_col="y")
+    # a feature name may repeat
+    assert read_labeled_csv(path).x.tolist() == [[1.0, 0.5, 3.0, 1.0]]
 
 
 def test_csv_empty_rejected(tmp_path):

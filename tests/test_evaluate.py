@@ -330,6 +330,45 @@ def test_simulation_benchmark_refuses_fewer_than_one_thread(threads):
                                  threads=threads)
 
 
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("no worker process may start here")
+
+
+def test_one_worker_runs_the_jobs_in_this_process(monkeypatch):
+    # both runners at threads=1 start no process and report as a pool does
+    import ndc.evaluate
+
+    options = HarnessOptions(lambda_grid=(0.9, math.inf), tune_restarts=2, final_restarts=2,
+                             knn_neighbors=3, delta_grid_size=3)
+    rng = np.random.default_rng(33)
+    labels = np.repeat([1, 2], 6)
+    ds = LabeledDataset.from_arrays(rng.normal(size=(12, 4)) + np.eye(2, 4)[labels - 1], labels)
+
+    def runs(threads):
+        return (run_simulation_benchmark(2, 0.9, 3, reps=2, classifiers=["nc", "ndc"], seed=14,
+                                         options=options, threads=threads),
+                run_cv_benchmark(ds, ["nc", "ndc-s", "nsc"], CvConfig(folds=2, seed=2),
+                                 options=options, threads=threads))
+
+    pooled = runs(2)
+    monkeypatch.setattr(ndc.evaluate, "ProcessPoolExecutor", _NoPool)
+    here = runs(1)
+    assert multiprocessing.active_children() == []
+    for a, b in zip(pooled, here):
+        assert _outcomes(a) == _outcomes(b)
+        assert a.table_lines() == b.table_lines()
+
+
+def test_simulation_benchmark_refuses_a_bad_preset_before_any_worker_starts(monkeypatch):
+    import ndc.evaluate
+
+    monkeypatch.setattr(ndc.evaluate, "ProcessPoolExecutor", _NoPool)
+    with pytest.raises(ValueError, match="level must be one of"):
+        run_simulation_benchmark(2, 0.5, 3, reps=2, classifiers=["nc"], seed=0, threads=2)
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("bad", [
     {"tune_restarts": 0},
     {"final_restarts": 0},
@@ -345,12 +384,16 @@ def test_harness_options_rejected(bad):
         HarnessOptions(**bad)
 
 
+def _getenv(shared, var):
+    return os.getenv(var)
+
+
 def test_pool_workers_get_one_blas_thread_unless_set(monkeypatch):
     # each worker reports its own environment; the caller's is left as it was
     for var in _THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("MKL_NUM_THREADS", "3")
-    seen = _map_in_workers(os.getenv, list(_THREAD_VARS), workers=2)
+    seen = _map_in_workers(_getenv, None, list(_THREAD_VARS), threads=2)
     assert dict(zip(_THREAD_VARS, seen)) == {"OPENBLAS_NUM_THREADS": "1",
                                              "OMP_NUM_THREADS": "1",
                                              "MKL_NUM_THREADS": "3"}
@@ -413,7 +456,7 @@ def test_cv_benchmark_passes_on_a_programming_error_from_a_worker(monkeypatch):
     assert raised[0] == raised[1] == (_Broken, "broken fit on 8 rows")
 
 
-def _blas_threads(job):
+def _blas_threads(shared, job):
     return _openblas_function("get_num_threads")()
 
 
@@ -429,10 +472,10 @@ def test_forked_workers_run_openblas_on_one_thread_unless_set(monkeypatch):
         if get_threads() != 2:
             pytest.skip("OpenBLAS would not take 2 threads here")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        assert _map_in_workers(_blas_threads, [0, 1], workers=2) == [1, 1]
+        assert _map_in_workers(_blas_threads, None, [0, 1], threads=2) == [1, 1]
         assert get_threads() == 2  # the caller's own pool is left as it was
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        assert _map_in_workers(_blas_threads, [0, 1], workers=2) == [2, 2]
+        assert _map_in_workers(_blas_threads, None, [0, 1], threads=2) == [2, 2]
     finally:
         set_threads(before)
     assert multiprocessing.active_children() == []
