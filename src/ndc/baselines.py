@@ -5,7 +5,11 @@ All tie-breaking is deterministic: equal scores go to the smallest class
 index, and equal neighbor distances to the smaller training-row index.
 A row whose squared distances overflow gets no label: nc and nsc raise
 ValueError on the first row with no finite class score, kNN on the
-first row without m training rows at a finite distance.
+first row without m training rows at a finite distance.  At the other
+end, nc raises on a row whose squared distances to two or more
+centroids underflow to 0, and nsc refuses to fit data whose pooled
+within-class sd underflows to 0.  kNN's Gram-form distances reach 0 by
+cancellation too, so a 0 there says nothing about underflow.
 """
 
 from __future__ import annotations
@@ -36,12 +40,17 @@ def nc_predict_many(model: NcModel, x: np.ndarray) -> np.ndarray:
     x = feature_rows(x, model.p)
     with np.errstate(over="ignore"):
         d2 = np.square(x[:, None, :] - model.centroids[None, :, :]).sum(axis=2)
-    return nearest_class(d2)
+    # a difference is 0 only where the row equals the centroid, so a 0
+    # score is exact or its squares underflowed
+    return nearest_class(d2, lambda i, j: np.array_equal(x[i], model.centroids[j]))
 
 
 # ---------------------------------------------------------------------------
 # Nearest shrunken centroid
 # ---------------------------------------------------------------------------
+
+DELTA_GRID_SIZE = 30  # thresholds in `nsc_delta_grid`, and in tuning by default
+
 
 @dataclass(frozen=True)
 class NscModel:
@@ -84,7 +93,13 @@ def _nsc_stats(ds: LabeledDataset):
         raise ValueError("pooled within-class sd is not finite (the sums of squares overflow)")
     s0 = float(np.median(s_i))
     scale = s_i + s0
-    if np.any(scale == 0):
+    zero = scale == 0
+    if zero.any():
+        # rows that differ from their class means have sums of squares
+        # that underflowed; only rows equal to them make constant data
+        if any(np.any(xs[:, zero] != mean[zero]) for xs, mean in zip(ds.class_x, ds.class_means)):
+            raise ValueError("pooled within-class sd underflows to 0 "
+                             "(the sums of squares are below the float range)")
         raise ValueError("degenerate constant data: zero pooled sd and zero s0")
     counts = np.array([len(xs) for xs in ds.class_x], dtype=np.float64)
     m_k = np.sqrt(1.0 / counts - 1.0 / ds.n)
@@ -129,7 +144,7 @@ def nsc_predict_many(model: NscModel, x: np.ndarray) -> np.ndarray:
     return nearest_class(nsc_scores_many(model, x))
 
 
-def nsc_delta_grid(ds: LabeledDataset, size: int = 30) -> np.ndarray:
+def nsc_delta_grid(ds: LabeledDataset, size: int = DELTA_GRID_SIZE) -> np.ndarray:
     """Evenly spaced shrinkage thresholds from 0 (no shrinkage) to the
     largest standardized difference (everything shrunk away)."""
     *_, d = _nsc_stats(ds)
@@ -149,7 +164,7 @@ class KnnModel:
     p: int
 
 
-def knn_fit(ds: LabeledDataset, m: int = 15) -> KnnModel:
+def knn_fit(ds: LabeledDataset, m: int) -> KnnModel:
     if not (1 <= m <= ds.n):
         raise ValueError("neighbor count must be in 1..n")
     return KnnModel(ds.x, ds.labels, m=m, k=ds.k, p=ds.p)

@@ -93,27 +93,14 @@ def predict_many(model: NdcModel, x: np.ndarray) -> np.ndarray:
     larger than any finite one.
 
     A score of 0 is exact when the row equals that centroid on the
-    class's features, and has underflowed otherwise.  A row whose
-    smallest score is 0 goes to the smallest class scoring an exact 0;
-    where two or more classes score 0 and every one of them has
-    underflowed, they cannot be told apart, and the row raises
-    ValueError.
+    class's features, and has underflowed otherwise; `nearest_class`
+    sends such a row to the smallest class scoring an exact 0, and
+    refuses it where two or more classes score 0 and all underflowed.
     """
-    scores = predict_scores_many(model, x)
-    labels = nearest_class(scores)
-    zero_rows = np.flatnonzero(scores.min(axis=1) == 0)
-    if zero_rows.size:
-        x = feature_rows(x, model.p)
-        pairs = list(zip(model.partition.class_groups, model.centroids))
-        for i in zero_rows:
-            zero = np.flatnonzero(scores[i] == 0)
-            exact = [j for j in zero if np.array_equal(x[i, pairs[j][0]], pairs[j][1])]
-            if exact:
-                labels[i] = exact[0] + 1
-            elif len(zero) > 1:
-                raise ValueError(f"row {i + 1}: {len(zero)} class scores underflow to 0 "
-                                 "(its squared distances are below the float range)")
-    return labels
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))  # checked by predict_scores_many
+    groups, centroids = model.partition.class_groups, model.centroids
+    return nearest_class(predict_scores_many(model, x),
+                         lambda i, j: np.array_equal(x[i, groups[j]], centroids[j]))
 
 
 def empirical_risk(ds: LabeledDataset, model: NdcModel) -> float:

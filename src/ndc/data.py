@@ -174,18 +174,30 @@ def sq_distances(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarra
     return np.maximum(d2, 0.0, out=d2)
 
 
-def nearest_class(scores: np.ndarray) -> np.ndarray:
+def nearest_class(scores: np.ndarray, is_exact=None) -> np.ndarray:
     """The class (1-based column) of each row's smallest score in the
     (rows x k) ``scores``; ties go to the smallest class.
 
-    Raises ValueError on the first row (1-based) with no finite class
-    score, as when all its squared distances overflow: such a row has no
-    nearest class, and a tie-broken label would be a guess.
+    A row has no nearest class, and raises ValueError naming it (1-based),
+    where no class score is finite, as when all its squared distances
+    overflow, or, given ``is_exact(i, j)`` (whether row i's 0 score for
+    class j is exact rather than underflowed), where two or more classes
+    score 0 and all of them underflowed.  Otherwise a row whose smallest
+    score is 0 goes to the smallest class with an exact 0.
     """
     bad = np.flatnonzero(~np.isfinite(scores.min(axis=1)))
     if bad.size:
         raise ValueError(f"row {bad[0] + 1}: no class score is finite (its squared distances overflow)")
-    return scores.argmin(axis=1) + 1
+    labels = scores.argmin(axis=1) + 1
+    for i in np.flatnonzero(scores.min(axis=1) == 0) if is_exact else ():
+        zero = np.flatnonzero(scores[i] == 0)
+        exact = [j for j in zero if is_exact(i, j)]
+        if exact:
+            labels[i] = exact[0] + 1
+        elif len(zero) > 1:
+            raise ValueError(f"row {i + 1}: {len(zero)} class scores underflow to 0 "
+                             "(its squared distances are below the float range)")
+    return labels
 
 
 def feature_rows(x, p: int) -> np.ndarray:
@@ -240,91 +252,78 @@ def read_labeled_csv(path, label_col: str = "label") -> LabeledDataset:
 
 
 def read_feature_csv(path, label_col: str = "label"):
-    """Read features from CSV, tolerating an absent label column.
-
-    Returns ``(x, labels_or_none, raw_header, raw_rows)`` where the raw
-    parts preserve the file text for pass-through output.
-    """
+    """Read features from CSV, tolerating an absent label column; returns
+    ``(x, labels_or_none, raw_header, raw_rows)``, where the raw parts
+    keep the file text for pass-through output."""
     return _read_csv(path, label_col, require_labels=False)
 
 
 def _read_csv(path, label_col, require_labels):
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            return _read_rows(path, fh, label_col, require_labels)
-    except UnicodeDecodeError:
-        # the decoder reads 8 KiB ahead of the row checks, so read again a
-        # line at a time: a fault in a row before the undecodable line is
-        # then named first.  No UTF-8 sequence spans a line break, so each
-        # line decodes alone.
-        with open(path, "rb") as raw:
-            data = raw.read()
-        return _read_rows(path, _utf8_lines(path, data), label_col, require_labels)
+    """Parse and check the CSV at ``path`` in one pass, in file order.  An
+    undecodable byte reads as a lone surrogate, which float() and int()
+    refuse, so every row holding one reaches `fault`, which names it."""
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
 
-
-def _utf8_lines(path, data: bytes):
-    """The lines of ``data`` as text, line ends kept, as a file opened with
-    ``newline=""`` splits them; CsvFormatError at the first line that is
-    not UTF-8."""
-    for line, chunk in enumerate(data.splitlines(keepends=True), 1):
-        try:
-            yield chunk.decode("utf-8-sig" if line == 1 else "utf-8")
-        except UnicodeDecodeError:
-            raise CsvFormatError(f"{path}: row {line}: not UTF-8 text") from None
-
-
-def _read_rows(path, lines, label_col, require_labels):
-    """Parse and check the CSV text ``lines``, in file order."""
-    reader = csv.reader(lines)
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise CsvFormatError(f"{path}: empty file")
-        if header.count(label_col) > 1:
-            raise CsvFormatError(f"{path}: column '{label_col}' appears "
-                                 f"{header.count(label_col)} times in the header")
-        label_idx = header.index(label_col) if label_col in header else None
-        if require_labels and label_idx is None:
-            raise CsvFormatError(f"{path}: no '{label_col}' column in header")
-        feat_idx = [i for i in range(len(header)) if i != label_idx]
-        if not feat_idx:
-            raise CsvFormatError(f"{path}: no feature columns")
-        # itemgetter of one index returns the cell itself, not a 1-tuple
-        feature_cells = (itemgetter(*feat_idx) if len(feat_idx) > 1
-                         else lambda row: (row[feat_idx[0]],))
-        values, labels, rows = array("d"), array("q"), None if require_labels else []
-        for row in filter(None, reader):
-            line = reader.line_num  # blank lines skipped but counted
-            if len(row) != len(header):
-                raise CsvFormatError(f"{path}: row {line} has {len(row)} cells, header has {len(header)}")
+        def fault(row, suffix=None):
+            """CsvFormatError "row N<suffix>" for the record ``row`` just read, or
+            "not UTF-8 text" at its first undecodable byte; None for neither."""
+            line, text = reader.line_num, ",".join(row)  # blank lines count
             try:
-                floats = list(map(float, feature_cells(row)))
-                clean = math.isfinite(sum(floats))
-            except ValueError:
-                clean = False
-            if not clean:  # name the first cell that is not a finite float
-                for i in feat_idx:
-                    try:
-                        fault = None if math.isfinite(float(row[i])) else "non-finite"
-                    except ValueError:
-                        fault = "non-numeric"
-                    if fault:
-                        raise CsvFormatError(f"{path}: row {line}, column '{header[i]}': "
-                                             f"{fault} value {row[i]!r}")
-            values.fromlist(floats)  # only a sum that overflows gets here unclean
-            if label_idx is not None:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:  # the record ends on line_num
+                after = text[exc.start:]
+                line -= after.count("\n") + after.count("\r") - after.count("\r\n")
+                suffix = ": not UTF-8 text"
+            return None if suffix is None else CsvFormatError(f"{path}: row {line}{suffix}")
+
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise CsvFormatError(f"{path}: empty file")
+            if undecodable := fault(header):
+                raise undecodable
+            if header.count(label_col) > 1:
+                raise CsvFormatError(f"{path}: column '{label_col}' appears "
+                                     f"{header.count(label_col)} times in the header")
+            label_idx = header.index(label_col) if label_col in header else None
+            if require_labels and label_idx is None:
+                raise CsvFormatError(f"{path}: no '{label_col}' column in header")
+            feat_idx = [i for i in range(len(header)) if i != label_idx]
+            if not feat_idx:
+                raise CsvFormatError(f"{path}: no feature columns")
+            # itemgetter of one index returns the cell itself, not a 1-tuple
+            feature_cells = (itemgetter(*feat_idx) if len(feat_idx) > 1
+                             else lambda row: (row[feat_idx[0]],))
+            values, labels, rows = array("d"), array("q"), None if require_labels else []
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise fault(row, f" has {len(row)} cells, header has {len(header)}")
                 try:
-                    labels.append(int(row[label_idx]))
+                    floats = list(map(float, feature_cells(row)))
+                    clean = math.isfinite(sum(floats))
                 except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: row {line}: non-integer label {row[label_idx]!r}") from None
-                except OverflowError:  # an integer beyond int64
-                    raise CsvFormatError(
-                        f"{path}: row {line}: label {row[label_idx]!r} out of range") from None
-            if rows is not None:  # only the pass-through keeps cell text
-                rows.append(row)
-    except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
-        raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
+                    clean = False
+                if not clean:  # name the first cell that is not a finite float
+                    for i in feat_idx:
+                        try:
+                            bad = None if math.isfinite(float(row[i])) else "non-finite"
+                        except ValueError:
+                            bad = "non-numeric"
+                        if bad:
+                            raise fault(row, f", column '{header[i]}': {bad} value {row[i]!r}")
+                values.fromlist(floats)  # only a sum that overflows gets here unclean
+                if label_idx is not None:
+                    try:
+                        labels.append(int(row[label_idx]))
+                    except ValueError:
+                        raise fault(row, f": non-integer label {row[label_idx]!r}") from None
+                    except OverflowError:  # an integer beyond int64
+                        raise fault(row, f": label {row[label_idx]!r} out of range") from None
+                if rows is not None:  # only the pass-through keeps cell text
+                    rows.append(row)
+        except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
+            raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
     if not values:
         raise CsvFormatError(f"{path}: no data rows")
     x = np.frombuffer(values, dtype=np.float64).reshape(-1, len(feat_idx))

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .baselines import (
+    DELTA_GRID_SIZE,
     knn_fit,
     knn_predict_many,
     nc_fit,
@@ -125,7 +126,7 @@ class HarnessOptions:
     tune_restarts: int = 25
     final_restarts: int = FitConfig.restarts
     knn_neighbors: int = 15
-    delta_grid_size: int = 30
+    delta_grid_size: int = DELTA_GRID_SIZE
 
     def __post_init__(self):
         if self.tune_restarts < 1 or self.final_restarts < 1:

@@ -65,11 +65,10 @@ class BlockDistributionSpec:
 
 
 def block_spec(k: int, d: int, sigma1: float, sigma2: float,
-               mu1: float = 0.0, mu2: float = 0.0,
-               class_probs=None) -> BlockDistributionSpec:
-    """Spec with k successive feature blocks of width d: a class's own
-    block has sd ``sigma1`` and mean ``mu1``, everything else ``sigma2``
-    and ``mu2``."""
+               mu1: float = 0.0, mu2: float = 0.0) -> BlockDistributionSpec:
+    """Spec with k equally likely classes and k successive feature blocks
+    of width d: a class's own block has sd ``sigma1`` and mean ``mu1``,
+    everything else ``sigma2`` and ``mu2``."""
     if k < 1 or d < 1:
         raise ValueError(f"need k >= 1 classes and block width d >= 1, got k={k}, d={d}")
     p = k * d
@@ -78,9 +77,7 @@ def block_spec(k: int, d: int, sigma1: float, sigma2: float,
     for j in range(k):
         means[j, j * d:(j + 1) * d] = mu1
         sds[j, j * d:(j + 1) * d] = sigma1
-    if class_probs is None:
-        class_probs = np.full(k, 1.0 / k)
-    return BlockDistributionSpec(class_probs, means, sds)
+    return BlockDistributionSpec(np.full(k, 1.0 / k), means, sds)
 
 
 def _check_enumeration_size(p: int, k: int) -> None:

@@ -1,8 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from ndc.data import FeaturePartition, LabeledDataset
+# A test run writes no bytecode under src/: set before ndc is first imported.
+sys.dont_write_bytecode = True
+
+from ndc.data import FeaturePartition, LabeledDataset  # noqa: E402
 
 # Every property test draws the same examples on every run, and a slow
 # host does not fail one on timing.

@@ -286,9 +286,12 @@ _FIT_PREDICT = {
 
 
 @pytest.mark.parametrize("name", sorted(_FIT_PREDICT))
-@pytest.mark.parametrize("e", [-400, 400])
+@pytest.mark.parametrize("e", [-460, -400, 400])
 def test_baselines_keep_their_labels_under_a_finite_power_of_two_scaling(name, e):
     x, labels, test = _scaled_pair(np.random.default_rng(37))
+    # rows that equal a class mean or a training row score an exact 0 in nc
+    # or kNN; nc's underflow check must leave their labels as they are
+    test = np.vstack([test, x[labels == 1].mean(axis=0), x[labels == 2].mean(axis=0), x[6]])
     fit_predict = _FIT_PREDICT[name]
     model, predict = fit_predict(LabeledDataset.from_arrays(x, labels))
     scaled, predict = fit_predict(LabeledDataset.from_arrays(x * 2.0 ** e, labels))
@@ -318,3 +321,34 @@ def test_baselines_refuse_rows_whose_squared_distances_overflow(name, message):
         model, predict = fit_predict(scaled)
         with pytest.raises(ValueError, match=message.replace("row 3", "row 1")):
             predict(model, test * 2.0 ** 520)
+
+
+def test_nc_and_nsc_refuse_data_whose_squared_distances_underflow():
+    # at 2^-540 every squared difference underflows to 0: nc used to label
+    # every row class 1, and nsc called the data constant
+    x, labels, test = _scaled_pair(np.random.default_rng(37))
+    scaled = LabeledDataset.from_arrays(x * 2.0 ** -540, labels)
+    with pytest.raises(ValueError, match=r"^row 1: 2 class scores underflow to 0"):
+        nc_predict_many(nc_fit(scaled), test * 2.0 ** -540)
+    for fit in (lambda ds: nsc_fit(ds, 0.5), nsc_delta_grid):
+        with pytest.raises(ValueError, match=r"^pooled within-class sd underflows to 0"):
+            fit(scaled)
+    # a row equal to a centroid scores an exact 0 there and keeps its label
+    model = nc_fit(scaled)
+    rows = np.vstack([model.centroids[1], test[0] * 2.0 ** -540])
+    with pytest.raises(ValueError, match=r"^row 2: 2 class scores underflow"):
+        nc_predict_many(model, rows)
+    assert nc_predict_many(model, rows[:1]).tolist() == [2]
+
+
+def test_nsc_names_constant_data_apart_from_underflow():
+    # constant within each class, though the classes differ: no sum of
+    # squares underflowed, so the data is called constant
+    ds = LabeledDataset.from_arrays([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]], [1, 1, 2, 2])
+    with pytest.raises(ValueError, match="^degenerate constant data"):
+        nsc_fit(ds, 0.5)
+    # one row of class 1 differs in feature 1, by less than the float range
+    # can square
+    tiny = np.array([[1.0, 2.0], [1.5, 2.0], [3.0, 4.0], [3.0, 4.0]]) * 2.0 ** -540
+    with pytest.raises(ValueError, match="^pooled within-class sd underflows"):
+        nsc_fit(LabeledDataset.from_arrays(tiny, [1, 1, 2, 2]), 0.5)

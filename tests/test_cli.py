@@ -321,8 +321,8 @@ def test_predict_truncated_model_file_exit_2_naming_it(tmp_path, toy_csv, capsys
 
 @pytest.mark.parametrize("rows_before", [0, 1000])
 def test_fit_non_utf8_csv_exit_2_naming_file_and_row(tmp_path, capsys, rows_before):
-    # the text reader decodes 8 KiB ahead of the row it hands out, so the
-    # row is found again from the file's bytes; 1000 rows put it past 8 KiB
+    # the text reader decodes 8 KiB ahead of the row it hands out; 1000
+    # rows put the bad byte past the first 8 KiB
     data = tmp_path / "latin.csv"
     good = "".join(f"{i % 2 + 1},{i}.25\n" for i in range(rows_before)).encode()
     data.write_bytes(b"label,x1\n" + good + b"1,\xe9\n2,3\n")
@@ -341,6 +341,18 @@ def test_fit_non_utf8_csv_names_an_earlier_fault_first(tmp_path, capsys, rows_be
     assert main(["fit", str(data), "--out", str(tmp_path / "m.json")]) == 2
     assert capsys.readouterr().err == (
         f"error: {data}: row {rows_before + 2}, column 'x1': non-numeric value 'abc'\n")
+
+
+def test_predict_non_utf8_csv_exit_2_writing_nothing(tmp_path, toy_csv, capsys):
+    model = tmp_path / "model.json"
+    main(["fit", str(toy_csv), "--restarts", "3", "--seed", "1", "--out", str(model)])
+    data = tmp_path / "latin.csv"
+    data.write_bytes(b"x1,x2\n0.0,5.0\n4.0,6.0\n6.0,\xe9\n")
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
+    assert main(["predict", str(model), str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {data}: row 4: not UTF-8 text\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("label", ["1" + "0" * 30, "-" + "9" * 20])
@@ -535,8 +547,10 @@ def test_oracle_consistency_tsv(capsys):
 
 
 def test_console_entry_point(toy_csv):
-    # the child interpreter imports the same ndc sources as this test
-    env = {**os.environ, "PYTHONPATH": str(Path(ndc.__file__).parents[1])}
+    # the child interpreter imports the same ndc sources as this test, and
+    # writes no bytecode beside them either
+    env = {**os.environ, "PYTHONPATH": str(Path(ndc.__file__).parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, "-m", "ndc.cli", "oracle",
                            "--data", str(toy_csv)],
                           capture_output=True, text=True, env=env)
