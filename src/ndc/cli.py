@@ -76,14 +76,21 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model_json)
-    x, _, header, raw_rows = read_feature_csv(args.data_csv, label_col=args.label_col)
+    x, _, header, rows = read_feature_csv(args.data_csv, label_col=args.label_col)
     if x.shape[1] != model.p:
         raise ValueError(f"model expects {model.p} features, data has {x.shape[1]}")
     predicted = predict_many(model, x)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header + ["predicted"])
-        writer.writerows(row + [label] for row, label in zip(raw_rows, predicted.tolist()))
+        # a row's cells hold no comma or double quote (see read_feature_csv), so
+        # csv.writer would write its text as it is, unless a cell holds a line
+        # break: such a row goes through the writer
+        for text, label in zip(rows, predicted.tolist()):
+            if "\n" in text or "\r" in text:
+                writer.writerow(text.split(",") + [label])
+            else:
+                fh.write(f"{text},{label}\n")
     print(f"wrote {len(predicted)} predictions to {args.out}")
     return 0
 

@@ -253,8 +253,11 @@ def read_labeled_csv(path, label_col: str = "label") -> LabeledDataset:
 
 def read_feature_csv(path, label_col: str = "label"):
     """Read features from CSV, tolerating an absent label column; returns
-    ``(x, labels_or_none, raw_header, raw_rows)``, where the raw parts
-    keep the file text for pass-through output."""
+    ``(x, labels_or_none, header, rows)`` for pass-through output: the
+    header's cells, and each data row as one string, its cells joined by
+    commas.  Every such cell is one that float() or int() accepts, so none
+    holds a comma or a double quote, and ``text.split(",")`` gives back
+    the row's cells."""
     return _read_csv(path, label_col, require_labels=False)
 
 
@@ -320,8 +323,8 @@ def _read_csv(path, label_col, require_labels):
                         raise fault(row, f": non-integer label {row[label_idx]!r}") from None
                     except OverflowError:  # an integer beyond int64
                         raise fault(row, f": label {row[label_idx]!r} out of range") from None
-                if rows is not None:  # only the pass-through keeps cell text
-                    rows.append(row)
+                if rows is not None:  # only the pass-through keeps text, one string a row
+                    rows.append(",".join(row))
         except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
             raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
     if not values:
@@ -333,16 +336,22 @@ def _read_csv(path, label_col, require_labels):
 def write_labeled_csv(path, ds: LabeledDataset, label_col: str = "label") -> None:
     """Write the ingestion format with the label column first.
 
-    The header goes through csv.writer, since ``label_col`` may need
-    quoting; a data row is its label and the ``repr`` of each value,
-    which for a finite float never needs quoting.
+    The features are named ``x1`` ... ``xp``; a ``label_col`` equal to one
+    of them raises ValueError before the file is opened, since the reader
+    refuses a header naming its label column twice.  The header goes
+    through csv.writer, since ``label_col`` may need quoting; a data row
+    is its label and the ``repr`` of each value, which for a finite float
+    never needs quoting.
     """
+    names = [f"x{i}" for i in range(1, ds.p + 1)]
+    if label_col in names:
+        raise ValueError(f"label column '{label_col}' would share its name with a feature column")
     # csv leaves a "\r" unquoted under a "\n" terminator, and the reader
     # drops a leading U+FEFF as a byte-order mark: quote such names
     quote = "\r" in label_col or label_col.startswith("\ufeff")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n",
                    quoting=csv.QUOTE_ALL if quote else csv.QUOTE_MINIMAL).writerow(
-            [label_col] + [f"x{i}" for i in range(1, ds.p + 1)])
+            [label_col] + names)
         for label, row in zip(ds.labels.tolist(), ds.x):
             fh.write(f"{label}," + ",".join(map(repr, row.tolist())) + "\n")

@@ -244,26 +244,48 @@ def _seed_lanes(fit_data: FitData, n_clusters: int,
     of the features drawn.
 
     Each lane draws from its own stream exactly as a lone run would; the
-    distances of all lanes' newest seeds are one kernel call.
+    distances of all lanes' newest seeds are one kernel call, and every
+    lane's next draw is one `_draw_lanes` call.
     """
     points, point_sq = fit_data.points, fit_data.point_sq
     n = len(points)
     if n_clusters > n:
         raise ValueError("more clusters than points")
     seeds = np.empty((len(streams), n_clusters), dtype=np.intp)
-    idx = np.array([stream.integers(n) for stream in streams])
-    seeds[:, 0] = idx
-    d2 = fit_data.sq_distances_to(0, points[idx], point_sq[idx])
+    seeds[:, 0] = idx = np.array([stream.integers(n) for stream in streams])
+    d2 = np.ascontiguousarray(fit_data.sq_distances_to(0, points[idx], point_sq[idx]).T)
     for j in range(1, n_clusters):
-        for lane, stream in enumerate(streams):
-            total = d2[:, lane].sum()
-            if total > 0:
-                idx[lane] = stream.choice(n, p=d2[:, lane] / total)
-            else:
-                idx[lane] = stream.integers(n)
-        seeds[:, j] = idx
-        d2 = np.minimum(d2, fit_data.sq_distances_to(0, points[idx], point_sq[idx]))
+        seeds[:, j] = idx = _draw_lanes(d2, streams)
+        np.minimum(d2, fit_data.sq_distances_to(0, points[idx], point_sq[idx]).T, out=d2)
     return seeds
+
+
+def _draw_lanes(d2: np.ndarray, streams: list[np.random.Generator]) -> np.ndarray:
+    """One k-means++ draw per lane from its row of the (lanes x n) squared
+    distances ``d2``, exactly as ``stream.choice(n, p=row / row.sum())``
+    draws, or ``stream.integers(n)`` where the row sums to 0.
+
+    ``choice`` counts the steps of ``cumsum(p) / cumsum(p)[-1]`` at or below
+    one ``random()``; here each lane takes its ``random()`` and one
+    cumsum and one count serve all lanes.  A row is contiguous, so its sum
+    is the same pairwise sum as a lone row's.  Raises ValueError where a
+    sum is not finite, which ``choice`` would refuse or never reach.
+    """
+    total = d2.sum(axis=1)
+    if not np.isfinite(total).all():
+        raise ValueError("k-means++ distances are not finite: the data's scale "
+                         "is beyond the float range")
+    drawing = total > 0
+    idx, u = np.empty(len(d2), dtype=np.intp), np.empty(len(d2))
+    for lane, stream in enumerate(streams):
+        if drawing[lane]:
+            u[lane] = stream.random()
+        else:
+            idx[lane] = stream.integers(d2.shape[1])
+    cdf = np.cumsum(d2[drawing] / total[drawing, None], axis=1)
+    cdf /= cdf[:, -1:]
+    idx[drawing] = (cdf <= u[drawing, None]).sum(axis=1)
+    return idx
 
 
 def _lloyd_lanes(fit_data: FitData, seeds: np.ndarray) -> np.ndarray:

@@ -1,18 +1,18 @@
-import sys
+import os
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-# A test run writes no bytecode under src/: set before ndc is first imported.
-sys.dont_write_bytecode = True
-
-from ndc.data import FeaturePartition, LabeledDataset  # noqa: E402
+from ndc.data import FeaturePartition, LabeledDataset
 
 # Every property test draws the same examples on every run, and a slow
-# host does not fail one on timing.
+# host does not fail one on timing.  NDC_HYPOTHESIS_PROFILE=ndc-explore
+# draws new random examples instead, a few hundred per property or the
+# count a property sets itself, and keeps no example database.
 settings.register_profile("ndc", derandomize=True, deadline=None, max_examples=30)
-settings.load_profile("ndc")
+settings.register_profile("ndc-explore", deadline=None, max_examples=300, database=None)
+settings.load_profile(os.environ.get("NDC_HYPOTHESIS_PROFILE", "ndc"))
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 import argparse
+import csv
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ndc
 from ndc.classifier import compute_centroids, save_model, with_lambda
@@ -61,6 +65,17 @@ def test_simulate_bad_grid_exit_2(tmp_path):
                  "--out-train", str(tmp_path / "t.csv"),
                  "--out-test", str(tmp_path / "e.csv")])
     assert code == 2
+
+
+def test_simulate_label_col_naming_a_feature_exit_2_writing_nothing(tmp_path, capsys):
+    # the features are x1 ... x40, and a header naming x1 twice would be
+    # refused by every reader of the file
+    train, test = tmp_path / "t.csv", tmp_path / "e.csv"
+    assert main(["simulate", "--sim", "2", "--level", "0.9", "--d", "10", "--label-col", "x1",
+                 "--out-train", str(train), "--out-test", str(test)]) == 2
+    assert capsys.readouterr().err == (
+        "error: label column 'x1' would share its name with a feature column\n")
+    assert not train.exists() and not test.exists()
 
 
 def test_fit_prints_training_error_and_writes_model(tmp_path, toy_csv, capsys):
@@ -176,9 +191,6 @@ def test_fit_and_predict_accept_a_byte_order_mark(tmp_path, toy_csv):
 
 
 def test_predict_copies_rows_verbatim_and_appends_the_label(tmp_path, toy_csv):
-    import csv
-    import io
-
     model = tmp_path / "model.json"
     main(["fit", str(toy_csv), "--restarts", "3", "--seed", "1", "--out", str(model)])
     data = tmp_path / "odd.csv"
@@ -194,6 +206,73 @@ def test_predict_copies_rows_verbatim_and_appends_the_label(tmp_path, toy_csv):
                           predicted):
         writer.writerow(row + [int(label)])
     assert out.read_text() == expected.getvalue()
+
+
+# float() and int() strip Unicode whitespace and read Unicode decimal
+# digits and underscores between digits, so accepted cells may hold them
+_SPACES = [" ", "\t", "\r", "\n", "\r\n", "\x0b", "\x0c", "\x85", "\xa0",
+           "\u2003", "\u2028", "\u3000"]
+_DIGITS = ["0123456789", "".join(map(chr, range(0x0660, 0x066A))),
+           "".join(map(chr, range(0xFF10, 0xFF1A))), "".join(map(chr, range(0x0966, 0x0970)))]
+
+
+@st.composite
+def _accepted_cell(draw, pattern):
+    """A CSV field that float() (or int(), for an integer ``pattern``)
+    accepts, quoted or bare; one holding a line break is always quoted."""
+    text = draw(st.from_regex(pattern, fullmatch=True))
+    cuts = [i for i in range(1, len(text)) if text[i - 1].isdigit() and text[i].isdigit()]
+    for i in sorted(draw(st.sets(st.sampled_from(cuts))) if cuts else (), reverse=True):
+        text = text[:i] + "_" + text[i:]
+    text = text.translate(str.maketrans("0123456789", draw(st.sampled_from(_DIGITS))))
+    pad = st.lists(st.sampled_from(_SPACES), max_size=2).map("".join)
+    cell = draw(pad) + text + draw(pad)
+    assert float(cell) == float(text)
+    quoted = "\r" in cell or "\n" in cell or draw(st.booleans())
+    return f'"{cell}"' if quoted else cell
+
+
+@st.composite
+def _feature_file(draw):
+    """The text of a CSV that `ndc predict` accepts, and its feature count."""
+    p, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    label_at = draw(st.none() | st.integers(0, p))
+    names = [f"x{i}" for i in range(1, p + 1)]
+    feature = _accepted_cell(r"[+-]?[0-9]{1,4}(\.[0-9]{0,3})?([eE][+-]?[0-9])?")
+    label = _accepted_cell(r"[+-]?[0-9]{1,3}")
+    rows = [[draw(feature) for _ in range(p)] for _ in range(n)]
+    if label_at is not None:
+        names.insert(label_at, draw(st.sampled_from(["label", '"label"'])))
+        for row in rows:
+            row.insert(label_at, draw(label))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(",".join(row) for row in [names] + rows) + draw(st.sampled_from(["", end]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text, p
+
+
+@given(file=_feature_file())
+def test_predict_writes_what_csv_writer_writes(tmp_path_factory, file):
+    # each row goes out as its cells' text joined by commas, which must be
+    # byte for byte the csv.writer row of the cells read
+    text, p = file
+    base = tmp_path_factory.getbasetemp()
+    data, model, out = base / "cells.csv", base / f"m{p}.json", base / "pred.csv"
+    data.write_bytes(text.encode("utf-8"))
+    k = min(p, 2)
+    ds = LabeledDataset.from_arrays(np.arange(4.0 * p).reshape(4, p) ** 1.5, np.arange(4) % k + 1)
+    groups = tuple(np.arange(p)[np.arange(p) % k == j] for j in range(k))
+    save_model(compute_centroids(ds, FeaturePartition(groups)), model)
+    assert main(["predict", str(model), str(data), "--out", str(out)]) == 0
+    with open(data, newline="", encoding="utf-8-sig") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row]
+    features = [i for i, name in enumerate(header) if name != "label"]
+    predicted = ndc.predict_many(ndc.load_model(model),
+                                 [[float(row[i]) for i in features] for row in rows])
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header + ["predicted"])
+    writer.writerows(row + [label] for row, label in zip(rows, predicted.tolist()))
+    assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_predict_feature_mismatch_exit_2(tmp_path, toy_csv):

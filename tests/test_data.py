@@ -1,9 +1,10 @@
 import csv
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -187,8 +188,16 @@ def _datasets(draw):
        label_col=st.text(max_size=6) | st.sampled_from(
            ['a,b', 'say "hi"', "two\nlines", "cr\rlf", "\ufeffmark", "nul\x00", "x1"]),
        bom=st.booleans())
+@example(ds=LabeledDataset(np.zeros((1, 1)), [1], 1), label_col="x1", bom=False)
 def test_csv_round_trip_is_bit_exact(tmp_path_factory, ds, label_col, bom):
     path = tmp_path_factory.getbasetemp() / "round-trip.csv"
+    path.unlink(missing_ok=True)
+    if label_col in [f"x{i}" for i in range(1, ds.p + 1)]:
+        # the header would name that column twice, which the reader refuses
+        with pytest.raises(ValueError, match=f"label column '{label_col}' would share its name"):
+            write_labeled_csv(path, ds, label_col=label_col)
+        assert not path.exists()
+        return
     write_labeled_csv(path, ds, label_col=label_col)
     if bom:
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
@@ -549,3 +558,25 @@ def test_a_bad_byte_in_the_last_row_costs_no_more_memory_than_a_clean_file(tmp_p
     bad, error = _read_peak(path)
     assert error == f"{path}: row 121: not UTF-8 text"
     assert bad <= clean
+
+
+def test_a_feature_read_keeps_one_string_a_row_not_one_a_cell(tmp_path):
+    # the pass-through text of a row is its cells joined by commas: on
+    # 100 x 500 the read peaks at about 1.6 MB, against 3.4 MB for the
+    # cells' strings alone, which a read keeping them (4.4 MB) exceeds
+    ds = LabeledDataset.from_arrays(np.random.default_rng(3).normal(size=(100, 500)),
+                                    np.arange(100) % 3 + 1)
+    path = tmp_path / "wide.csv"
+    write_labeled_csv(path, ds)
+    with open(path, newline="") as fh:
+        cells = [cell for row in list(csv.reader(fh))[1:] for cell in row]
+    one_str_a_cell = sum(map(sys.getsizeof, cells))
+    del cells
+    tracemalloc.start()
+    try:
+        _, _, _, rows = read_feature_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_str_a_cell
+    assert rows[0] == ",".join([str(ds.labels[0])] + [repr(v) for v in ds.x[0].tolist()])

@@ -9,7 +9,8 @@ relative tolerance fixed from float64 rounding, and labels exactly.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import block_dataset, random_dataset
@@ -21,6 +22,7 @@ from ndc.kmeans import (
     ClusterCenters,
     FitData,
     _dn_distances,
+    _draw_lanes,
     _lane_centers,
     _lane_distances,
     _lloyd_lanes,
@@ -154,6 +156,42 @@ def test_kmeans_lanes_keep_an_emptied_center():
                                           ref_kmeans_rows(points, 4, rngmod.generator(trial, "empty")))
 
 
+@st.composite
+def _distance_rows(draw):
+    """(lanes x n) squared distances with lanes that sum to 0, duplicate
+    columns, and steps that vanish beside their neighbors in the cdf."""
+    lanes, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    values = st.sampled_from([0.0, 1.0, 3.0, 5e-324, 1e-300, 1e-17, 1e300]) | st.floats(0, 1e6)
+    d2 = np.array([draw(st.lists(values, min_size=n, max_size=n)) for _ in range(lanes)])
+    if draw(st.booleans()):
+        d2 = d2[:, draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    for lane in draw(st.sets(st.integers(0, lanes - 1))):
+        d2[lane] = 0.0
+    return np.ascontiguousarray(d2)
+
+
+@given(d2=_distance_rows(), seed=st.integers(0, 2**32 - 1))
+def test_lane_draws_are_the_draws_of_generator_choice(d2, seed):
+    streams = [rngmod.generator(seed, "draw", lane) for lane in range(len(d2))]
+    got = _draw_lanes(d2, streams)
+    for lane, row in enumerate(d2):
+        ref = rngmod.generator(seed, "draw", lane)
+        total = row.sum()
+        want = ref.choice(len(row), p=row / total) if total > 0 else ref.integers(len(row))
+        assert got[lane] == want
+        assert streams[lane].random() == ref.random()  # each stream took as many draws
+
+
+@pytest.mark.parametrize("row", [[1.0, np.nan], [np.inf, 1.0], [1e308, 1e308]])
+def test_lane_draws_refuse_distances_whose_sum_is_not_finite(row):
+    # Generator.choice refuses such a lane's probabilities (NaN, or a sum
+    # that is not 1); a count of cdf steps would pick a feature silently.
+    # numpy warns of the sum's overflow as it would in a fit
+    d2 = np.array([[1.0, 2.0], row])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        _draw_lanes(d2, [rngmod.generator(0, "draw", lane) for lane in range(2)])
+
+
 def test_assign_distances_match_reference():
     rng = np.random.default_rng(104)
     for trial in range(20):
@@ -182,12 +220,15 @@ def test_assign_distances_match_reference():
 
 @settings(max_examples=25)
 @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3]))
+@example(seed=316, k=1)
 def test_gram_form_distances_match_the_direct_form(seed, k):
     # tall data (k * p < n): the Gram form's k-means and alternation
     # distances against the direct form's, with the floor and tolerance
-    # of test_assign_distances_match_reference
+    # of test_assign_distances_match_reference.  At k = 1 and p = 2 every
+    # group below holds one feature, whose distance to its own center is
+    # 0, so half the distances are never clear of the floor: p >= 3
     rng = np.random.default_rng(seed)
-    p = int(rng.integers(k + 1, 12))
+    p = int(rng.integers(max(k + 1, 3), 12))
     ds = random_dataset(rng, k=k, p=p, n_per_class=int(rng.integers(p + 1, 4 * p)))
     gram, direct = FitData.of(ds), FitData.direct(ds)
     assert gram.gram and not direct.gram

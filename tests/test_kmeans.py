@@ -902,6 +902,17 @@ def test_fit_best_partition_ignores_power_of_two_scaling(seed, power, lam):
     assert _groups(got) == _groups(part) and got_err == err
 
 
+def test_fit_best_names_a_scale_whose_distances_overflow():
+    # at 2^520 the k-means++ distances overflow, so no draw is defined; the
+    # fit names the scale rather than failing every restart as if its
+    # groups emptied.  numpy warns of the overflow as it would in a fit
+    ds = random_dataset(np.random.default_rng(8), p=6)
+    scaled = LabeledDataset.from_arrays(ds.x * 2.0 ** 520, ds.labels, k=ds.k)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="distances are not finite: the data's scale"):
+        fit_best(scaled, FitConfig(restarts=3))
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 def test_lockstep_refine_objective_never_increases_with_special_group(seed):
     rng = np.random.default_rng(seed)
