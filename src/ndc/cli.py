@@ -13,13 +13,12 @@ Exit codes: 0 success, 2 bad input or arguments, 3 algorithmic failure
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 
 from . import rng as rngmod
 from .classifier import load_model, predict_many, save_model
-from .data import read_feature_csv, read_labeled_csv, write_labeled_csv
+from .data import read_feature_csv, read_labeled_csv, write_header, write_labeled_csv
 from .evaluate import (
     RUNNABLE_CLASSIFIERS,
     CvConfig,
@@ -81,16 +80,15 @@ def cmd_predict(args) -> int:
         raise ValueError(f"model expects {model.p} features, data has {x.shape[1]}")
     predicted = predict_many(model, x)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header + ["predicted"])
+        write_header(fh, header + ["predicted"])
         # a row's cells hold no comma or double quote (see read_feature_csv), so
-        # csv.writer would write its text as it is, unless a cell holds a line
-        # break: such a row goes through the writer
+        # its text goes out as it is, unless a cell holds a line break: such a
+        # cell is quoted, as csv.writer quotes a "\n" (it would leave a "\r")
         for text, label in zip(rows, predicted.tolist()):
             if "\n" in text or "\r" in text:
-                writer.writerow(text.split(",") + [label])
-            else:
-                fh.write(f"{text},{label}\n")
+                text = ",".join(f'"{cell}"' if "\n" in cell or "\r" in cell else cell
+                                for cell in text.split(","))
+            fh.write(f"{text},{label}\n")
     print(f"wrote {len(predicted)} predictions to {args.out}")
     return 0
 

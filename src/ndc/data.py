@@ -1,6 +1,7 @@
 """Core dataset types, the dimensionality-normalized norm, the Gram-form
-distance kernel, row checks for prediction input, the nearest-class
-rule on class scores, and CSV ingestion.
+distance kernel, the byte budget that cuts scored rows into blocks, row
+checks for prediction input, the nearest-class rule on class scores, and
+CSV ingestion.
 
 Conventions
 -----------
@@ -174,6 +175,27 @@ def sq_distances(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarra
     return np.maximum(d2, 0.0, out=d2)
 
 
+# Bytes each of a scorer's per-row arrays may take at once (see
+# `row_blocks`): kNN's block of test x train distances, or nc's and nsc's
+# block of the rows x k x p differences.  At 1000 training rows a kNN
+# block holds about a hundred test rows.
+ROW_BYTES = 1 << 20
+
+
+def row_blocks(n: int, row_bytes: int, unit: int = 2) -> list[slice]:
+    """In-order slices cutting ``range(n)`` into blocks whose arrays of
+    ``row_bytes`` bytes a row fit `ROW_BYTES`.
+
+    Each block holds a multiple of ``unit`` rows, and at least ``unit``
+    even where that is over the budget; a remainder of fewer rows joins
+    the last block.  So only an input of fewer than ``unit`` rows makes a
+    block that small, and then it is the one block.
+    """
+    size = max(unit, ROW_BYTES // row_bytes // unit * unit)
+    cuts = list(range(size, n - unit + 1, size))
+    return [slice(start, stop) for start, stop in zip([0] + cuts, cuts + [n])]
+
+
 def nearest_class(scores: np.ndarray, is_exact=None) -> np.ndarray:
     """The class (1-based column) of each row's smallest score in the
     (rows x k) ``scores``; ties go to the smallest class.
@@ -333,25 +355,30 @@ def _read_csv(path, label_col, require_labels):
     return x, None if label_idx is None else np.frombuffer(labels, dtype=np.int64), header, rows
 
 
+def write_header(fh, cells: list[str]) -> None:
+    """Write ``cells`` as the first row of the text file ``fh`` so that
+    the readers give them back.  csv leaves a "\r" unquoted under a "\n"
+    terminator, and the readers drop a leading U+FEFF as a byte-order
+    mark, so a header holding either is quoted whole."""
+    quote = any("\r" in cell for cell in cells) or cells[0].startswith("\ufeff")
+    csv.writer(fh, lineterminator="\n",
+               quoting=csv.QUOTE_ALL if quote else csv.QUOTE_MINIMAL).writerow(cells)
+
+
 def write_labeled_csv(path, ds: LabeledDataset, label_col: str = "label") -> None:
     """Write the ingestion format with the label column first.
 
     The features are named ``x1`` ... ``xp``; a ``label_col`` equal to one
     of them raises ValueError before the file is opened, since the reader
     refuses a header naming its label column twice.  The header goes
-    through csv.writer, since ``label_col`` may need quoting; a data row
+    through `write_header`, since ``label_col`` may need quoting; a data row
     is its label and the ``repr`` of each value, which for a finite float
     never needs quoting.
     """
     names = [f"x{i}" for i in range(1, ds.p + 1)]
     if label_col in names:
         raise ValueError(f"label column '{label_col}' would share its name with a feature column")
-    # csv leaves a "\r" unquoted under a "\n" terminator, and the reader
-    # drops a leading U+FEFF as a byte-order mark: quote such names
-    quote = "\r" in label_col or label_col.startswith("\ufeff")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n",
-                   quoting=csv.QUOTE_ALL if quote else csv.QUOTE_MINIMAL).writerow(
-            [label_col] + names)
+        write_header(fh, [label_col] + names)
         for label, row in zip(ds.labels.tolist(), ds.x):
             fh.write(f"{label}," + ",".join(map(repr, row.tolist())) + "\n")

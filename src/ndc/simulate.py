@@ -58,21 +58,23 @@ class SimulationConfig:
 
 def generate(config: SimulationConfig, rng: np.random.Generator) -> LabeledDataset:
     """Draw one dataset: a single standard-normal matrix scaled and
-    shifted per block, so a seed pins the whole matrix at once."""
-    n, p, d = config.n_total, config.p, config.d
-    z = rng.standard_normal((n, p))
-    sigma = np.full((n, p), config.sigma2)
-    mu = np.full((n, p), config.mu2)
-    for j in range(config.k):
-        rows = slice(j * config.n_per_class, (j + 1) * config.n_per_class)
-        cols = slice(j * d, (j + 1) * d)
-        sigma[rows, cols] = config.sigma1
-        mu[rows, cols] = config.mu1
-    if config.r:
-        sigma[:, config.k * d:] = 1.0
-        mu[:, config.k * d:] = 0.0
+    shifted per block, so a seed pins the whole matrix at once.
+
+    The draw is scaled and shifted in place, one class's rows at a time.
+    Every entry, the r-column tail's included (scale 1, shift 0), takes
+    one multiply and then one add, so each equals mu + sigma * z and a
+    -0.0 draw becomes +0.0."""
+    n, p, d, kd = config.n_total, config.p, config.d, config.k * config.d
+    x = rng.standard_normal((n, p))
+    for j, rows in enumerate(np.split(x, config.k)):  # views on class j's rows
+        sigma = np.full(p, config.sigma2)
+        mu = np.full(p, config.mu2)
+        sigma[j * d:(j + 1) * d], mu[j * d:(j + 1) * d] = config.sigma1, config.mu1
+        sigma[kd:], mu[kd:] = 1.0, 0.0
+        rows *= sigma
+        rows += mu
     labels = np.repeat(np.arange(1, config.k + 1), config.n_per_class)
-    return LabeledDataset.from_arrays(mu + sigma * z, labels, k=config.k)
+    return LabeledDataset.from_arrays(x, labels, k=config.k)
 
 
 def preset(sim_id: int, level: float, d_or_r: int) -> SimulationConfig:

@@ -1,10 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import ndc.baselines
+import ndc.data
 from conftest import random_dataset
 from ndc.baselines import (
+    _gemm_rows,
+    _sq_sums,
     knn_fit,
     knn_predict_many,
     nc_fit,
@@ -16,7 +23,7 @@ from ndc.baselines import (
     nsc_scores_many,
 )
 from ndc.classifier import NdcModel, predict_many
-from ndc.data import FeaturePartition, LabeledDataset
+from ndc.data import FeaturePartition, LabeledDataset, row_blocks, sq_distances
 
 
 # ---------------------------------------------------------------------------
@@ -352,3 +359,140 @@ def test_nsc_names_constant_data_apart_from_underflow():
     tiny = np.array([[1.0, 2.0], [1.5, 2.0], [3.0, 4.0], [3.0, 4.0]]) * 2.0 ** -540
     with pytest.raises(ValueError, match="^pooled within-class sd underflows"):
         nsc_fit(LabeledDataset.from_arrays(tiny, [1, 1, 2, 2]), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Row blocks
+# ---------------------------------------------------------------------------
+
+@given(n=st.integers(0, 400), unit=st.integers(2, 60), rows=st.integers(1, 200))
+@example(n=97, unit=2, rows=48).via("a one-row remainder")
+def test_row_blocks_cut_the_rows_in_order_within_the_budget(n, unit, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ndc.data, "ROW_BYTES", rows * 24)
+        blocks = row_blocks(n, 24, unit)
+    assert [i for block in blocks for i in range(n)[block]] == list(range(n))
+    size = max(unit, rows // unit * unit)
+    *full, last = [block.stop - block.start for block in blocks]
+    assert all(length == size for length in full)
+    # a remainder of fewer than unit rows joins the last block, so only the
+    # one block of an input of fewer than unit rows is that small
+    assert (unit <= last < size + unit) if full else last == n
+
+
+def _one_block_and_blocked(predict, model, x, rows, row_bytes):
+    """``predict(model, x)`` in one block, and in blocks of ``rows`` rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ndc.data, "ROW_BYTES", 1 << 62)
+        whole = predict(model, x)
+        mp.setattr(ndc.data, "ROW_BYTES", rows * row_bytes)
+        return whole, predict(model, x)
+
+
+@st.composite
+def _knn_problem(draw, integer):
+    """A kNN model and test rows.  Integer-valued data has exact distances
+    and many ties at the m-th one; Gaussian data has p >= 100 against 32-40
+    training rows, where products of fewer than 31-38 test rows would run
+    through OpenBLAS's small-matrix kernel."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    k = draw(st.integers(2, 3))
+    if integer:
+        n_train, p = draw(st.integers(26, 60)), draw(st.integers(k, 4))
+        values = lambda size: rng.integers(0, 3, size=size).astype(np.float64)
+    else:
+        n_train, p = draw(st.integers(32, 40)), draw(st.integers(100, 200))
+        values = lambda size: rng.standard_normal(size)
+    labels = np.arange(n_train) % k + 1
+    model = knn_fit(LabeledDataset.from_arrays(values((n_train, p)), labels),
+                    m=draw(st.integers(1, n_train)))
+    return model, values((draw(st.integers(1, 300)), p))
+
+
+@given(problem=_knn_problem(integer=True), rows=st.integers(1, 300))
+def test_knn_blocks_keep_the_labels_on_integer_data(problem, rows):
+    model, x = problem
+    whole, blocked = _one_block_and_blocked(knn_predict_many, model, x, rows, 8 * len(model.x))
+    assert blocked.tolist() == whole.tolist()
+
+
+@given(problem=_knn_problem(integer=False), rows=st.integers(1, 300))
+def test_knn_blocks_keep_the_distance_bits_and_labels_on_gaussian_data(problem, rows):
+    # a last-bit change in a distance seldom changes a label, so the
+    # distances the scorer computes are compared too
+    model, x = problem
+    computed = []
+
+    def recording(*args):
+        computed.append(sq_distances(*args))
+        return computed[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ndc.baselines, "sq_distances", recording)
+        whole, blocked = _one_block_and_blocked(knn_predict_many, model, x, rows, 8 * len(model.x))
+    assert blocked.tolist() == whole.tolist()
+    assert np.vstack(computed[1:]).tobytes() == computed[0].tobytes()
+
+
+def test_knn_blocks_are_multiples_of_the_gemm_rows():
+    assert [_gemm_rows(n) for n in (1, 24, 25, 26, 1000)] == [1248, 96, 96, 48, 48]
+    for n_train in (1, 25, 26, 40, 1000):
+        assert _gemm_rows(n_train) % 48 == 0
+        assert _gemm_rows(n_train) * n_train > 1200  # past the small-matrix kernel
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 200), p=st.integers(1, 30),
+       k=st.integers(2, 4), rows=st.integers(1, 200))
+@example(seed=0, n=97, p=3, k=2, rows=48).via("a one-row remainder")
+def test_nc_and_nsc_blocks_keep_every_score_bit(seed, n, p, k, rows):
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, k=k, p=max(p, k), n_per_class=5)
+    x = rng.normal(size=(n, ds.p)) * 10.0 ** rng.integers(-3, 4, size=ds.p)
+    nc, nsc = nc_fit(ds), nsc_fit(ds, 0.3)
+    # the whole cube at once, as nc and nsc computed it before the blocks
+    cube = np.square(x[:, None, :] - nc.centroids[None, :, :]).sum(axis=2)
+    z = np.subtract(x[:, None, :], nsc.shrunken[None, :, :])
+    z /= nsc.scale
+    nsc_cube = np.square(z).sum(axis=2) - 2.0 * np.log(nsc.priors)[None, :]
+    row_bytes = 8 * ds.k * ds.p
+    whole, blocked = _one_block_and_blocked(_sq_sums, x, nc.centroids, rows, row_bytes)
+    assert whole.tobytes() == blocked.tobytes() == cube.tobytes()
+    whole, blocked = _one_block_and_blocked(nsc_scores_many, nsc, x, rows, row_bytes)
+    assert whole.tobytes() == blocked.tobytes() == nsc_cube.tobytes()
+
+
+@pytest.mark.parametrize("name,message", [
+    ("nc", "no class score is finite"),
+    ("nsc", "no class score is finite"),
+    ("knn", "no finite distance to 3 training rows"),
+])
+@given(bad=st.lists(st.integers(0, 599), min_size=1, max_size=3), rows=st.integers(1, 300))
+@example(bad=[599], rows=1)
+def test_blocks_name_the_first_overflowing_row_in_the_whole_input(name, message, bad, rows):
+    # kNN on 10 training rows cuts blocks of a multiple of 144 rows
+    x, labels, test = _scaled_pair(np.random.default_rng(37))
+    model, predict = _FIT_PREDICT[name](LabeledDataset.from_arrays(x, labels))
+    test = np.resize(test, (600, 4))
+    test[bad] *= 2.0 ** 520
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ndc.data, "ROW_BYTES", rows * 8 * 10)
+        with pytest.raises(ValueError, match=rf"^row {min(bad) + 1}: {message}"):
+            predict(model, test)
+
+
+def test_knn_holds_blocks_not_the_test_x_train_distances():
+    # the whole 2000 x 2000 distance matrix is 32 MB; held with its
+    # np.partition copy and a float copy of the choice mask it peaks near 61 MB
+    rng = np.random.default_rng(38)
+    model = knn_fit(LabeledDataset.from_arrays(rng.normal(size=(2000, 5)), np.arange(2000) % 3 + 1),
+                    m=15)
+    x = rng.normal(size=(2000, 5))
+    tracemalloc.start()
+    try:
+        labels = knn_predict_many(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == 2000
+    assert peak < 8 << 20

@@ -252,8 +252,9 @@ def _feature_file(draw):
 
 @given(file=_feature_file())
 def test_predict_writes_what_csv_writer_writes(tmp_path_factory, file):
-    # each row goes out as its cells' text joined by commas, which must be
-    # byte for byte the csv.writer row of the cells read
+    # each row goes out as its cells' text joined by commas, which reads back
+    # as the cells, and is byte for byte the csv.writer row of the cells read
+    # unless a cell holds a carriage return, which csv.writer leaves unquoted
     text, p = file
     base = tmp_path_factory.getbasetemp()
     data, model, out = base / "cells.csv", base / f"m{p}.json", base / "pred.csv"
@@ -268,11 +269,37 @@ def test_predict_writes_what_csv_writer_writes(tmp_path_factory, file):
     features = [i for i, name in enumerate(header) if name != "label"]
     predicted = ndc.predict_many(ndc.load_model(model),
                                  [[float(row[i]) for i in features] for row in rows])
-    expected = io.StringIO(newline="")
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(header + ["predicted"])
-    writer.writerows(row + [label] for row, label in zip(rows, predicted.tolist()))
-    assert out.read_bytes() == expected.getvalue().encode("utf-8")
+    written = [row + [label] for row, label in zip(rows, predicted.tolist())]
+    with open(out, newline="", encoding="utf-8-sig") as fh:
+        assert list(csv.reader(fh)) == [header + ["predicted"]] + [
+            row + [str(label)] for row, label in zip(rows, predicted.tolist())]
+    if not any("\r" in cell for row in [header] + rows for cell in row):
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header + ["predicted"])
+        writer.writerows(written)
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("text,header", [
+    ('"x\r1",x2\n"3\r",4\n1,2\n', ["x\r1", "x2"]),
+    ('\ufeff"\ufeffx1",x2\n3,4\n1,"2\r\n"\n', ["\ufeffx1", "x2"]),
+])
+def test_predict_output_reads_back_cells_holding_a_carriage_return(tmp_path, text, header):
+    # csv.writer leaves a "\r" unquoted, and a reader drops a leading U+FEFF:
+    # written so, the first file's output reads back as five broken rows
+    data, model, out = tmp_path / "cr.csv", tmp_path / "m.json", tmp_path / "pred.csv"
+    data.write_text(text, encoding="utf-8", newline="")
+    ds = LabeledDataset.from_arrays([[0.0, 5.0], [0.0, 7.0], [4.0, 6.0], [6.0, 6.0]], [1, 1, 2, 2])
+    save_model(compute_centroids(ds, FeaturePartition((np.array([0]), np.array([1])))), model)
+    assert main(["predict", str(model), str(data), "--out", str(out)]) == 0
+    with open(data, newline="", encoding="utf-8-sig") as fh:
+        _, *rows = csv.reader(fh)
+    assert any("\r" in cell for row in rows for cell in row)
+    labels = ndc.predict_many(ndc.load_model(model), [[3.0, 4.0], [1.0, 2.0]]).tolist()
+    with open(out, newline="", encoding="utf-8-sig") as fh:
+        assert list(csv.reader(fh)) == [header + ["predicted"]] + [
+            row + [str(label)] for row, label in zip(rows, labels)]
 
 
 def test_predict_feature_mismatch_exit_2(tmp_path, toy_csv):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ndc import rng as rngmod
-from ndc.simulate import SimulationConfig, generate, preset
+from ndc.data import LabeledDataset
+from ndc.simulate import D_GRID, LEVELS, R_GRID, SimulationConfig, generate, preset
 
 
 def test_preset_values():
@@ -71,3 +72,56 @@ def test_config_validation():
         SimulationConfig(k=0, n_per_class=1, d=1, mu1=0, mu2=0, sigma1=1, sigma2=1)
     with pytest.raises(ValueError):
         SimulationConfig(k=2, n_per_class=5, d=1, mu1=0, mu2=0, sigma1=0, sigma2=1)
+
+
+def _generate_by_formula(config, rng):
+    """The draw as it was first written: full sigma and mu matrices, then
+    mu + sigma * z."""
+    n, p, d = config.n_total, config.p, config.d
+    z = rng.standard_normal((n, p))
+    sigma = np.full((n, p), config.sigma2)
+    mu = np.full((n, p), config.mu2)
+    for j in range(config.k):
+        rows = slice(j * config.n_per_class, (j + 1) * config.n_per_class)
+        cols = slice(j * d, (j + 1) * d)
+        sigma[rows, cols] = config.sigma1
+        mu[rows, cols] = config.mu1
+    if config.r:
+        sigma[:, config.k * d:] = 1.0
+        mu[:, config.k * d:] = 0.0
+    labels = np.repeat(np.arange(1, config.k + 1), config.n_per_class)
+    return LabeledDataset.from_arrays(mu + sigma * z, labels, k=config.k)
+
+
+_PRESETS = [(sim, level, size) for sim in (1, 2, 3, 4) for level in LEVELS
+            for size in (R_GRID if sim == 4 else D_GRID)]
+
+
+@pytest.mark.parametrize("sim,level,size", _PRESETS)
+def test_generate_equals_the_full_matrix_formula(sim, level, size):
+    config = preset(sim, level, size)
+    for seed in (1, 2, 3):
+        ds = generate(config, rngmod.generator(seed, "sim"))
+        reference = _generate_by_formula(config, rngmod.generator(seed, "sim"))
+        assert ds.x.tobytes() == reference.x.tobytes()
+        assert ds.labels.tolist() == reference.labels.tolist()
+
+
+class _FixedDraw:
+    """A stand-in generator whose standard-normal draw is ``z``."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, shape):
+        return self.z.reshape(shape).copy()
+
+
+def test_generate_turns_a_negative_zero_draw_into_positive_zero():
+    config = SimulationConfig(k=2, n_per_class=3, d=2, mu1=0.0, mu2=0.0, sigma1=1.0,
+                              sigma2=2.0, r=2)
+    z = np.linspace(-2.0, 2.0, 36).reshape(6, 6)
+    z[::2] = -0.0  # whole rows, the r-column tail included
+    ds = generate(config, _FixedDraw(z))
+    assert ds.x.tobytes() == _generate_by_formula(config, _FixedDraw(z)).x.tobytes()
+    assert not np.signbit(ds.x[z == 0]).any()
