@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import (FeaturePartition, LabeledDataset, feature_rows, nearest_class,
-                   validate_partition)
+                   row_blocks, validate_partition)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -70,16 +70,22 @@ def with_lambda(model: NdcModel, lam: float | None) -> NdcModel:
 
 
 def predict_scores_many(model: NdcModel, x: np.ndarray) -> np.ndarray:
-    """Squared dn-distance of each row of ``x`` to each class centroid.
+    """Squared dn-distance of each row of ``x`` to each class centroid,
+    one block of rows at a time (`row_blocks`).  A gather of two or more
+    rows is column-major, so each row's mean adds its cells in column
+    order, as in the whole input; `row_blocks` cuts no one-row block from
+    a longer input, so the blocks change no bit.
 
     A score whose squares overflow is infinite, without a warning: the
     caller decides what such a row means.
     """
     x = feature_rows(x, model.p)
+    groups = model.partition.class_groups
     scores = np.empty((x.shape[0], model.k))
     with np.errstate(over="ignore"):
-        for j, (g, c) in enumerate(zip(model.partition.class_groups, model.centroids)):
-            scores[:, j] = np.square(x[:, g] - c).mean(axis=1)
+        for rows in row_blocks(len(x), 8 * max(map(len, groups))):
+            for j, (g, c) in enumerate(zip(groups, model.centroids)):
+                scores[rows, j] = np.square(x[rows, g] - c).mean(axis=1)
     return scores
 
 

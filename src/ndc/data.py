@@ -289,16 +289,18 @@ def _read_csv(path, label_col, require_labels):
     refuse, so every row holding one reaches `fault`, which names it."""
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
+        first = 1  # the first line of the record just read; blank lines count
 
         def fault(row, suffix=None):
-            """CsvFormatError "row N<suffix>" for the record ``row`` just read, or
-            "not UTF-8 text" at its first undecodable byte; None for neither."""
-            line, text = reader.line_num, ",".join(row)  # blank lines count
+            """CsvFormatError "row N<suffix>" for the record ``row`` just read, N
+            being its last line, or "not UTF-8 text" on the line of its first
+            undecodable byte; None for neither."""
+            line, text = reader.line_num, ",".join(row)
             try:
                 text.encode("utf-8")
-            except UnicodeEncodeError as exc:  # the record ends on line_num
-                after = text[exc.start:]
-                line -= after.count("\n") + after.count("\r") - after.count("\r\n")
+            except UnicodeEncodeError as exc:  # the line breaks before the byte are in cells
+                before = text[:exc.start]
+                line = first + before.count("\n") + before.count("\r") - before.count("\r\n")
                 suffix = ": not UTF-8 text"
             return None if suffix is None else CsvFormatError(f"{path}: row {line}{suffix}")
 
@@ -321,7 +323,11 @@ def _read_csv(path, label_col, require_labels):
             feature_cells = (itemgetter(*feat_idx) if len(feat_idx) > 1
                              else lambda row: (row[feat_idx[0]],))
             values, labels, rows = array("d"), array("q"), None if require_labels else []
-            for row in filter(None, reader):
+            last = reader.line_num
+            for row in reader:
+                first, last = last + 1, reader.line_num
+                if not row:  # a blank line
+                    continue
                 if len(row) != len(header):
                     raise fault(row, f" has {len(row)} cells, header has {len(header)}")
                 try:

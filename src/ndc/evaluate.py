@@ -277,21 +277,17 @@ def _classifier_names(classifiers) -> list[str]:
     return names
 
 
-def _score_unit(names, train: LabeledDataset, test_x: np.ndarray, test_labels: np.ndarray,
-                seed: int, options: HarnessOptions) -> list[tuple[float, float, dict] | None]:
-    """Fit every named classifier on ``train`` and score it on the test
-    block: (error, features_used, chosen_params) per name, or None where
-    the fit failed.  Tuned classifiers run their nested CV on the
-    training data only."""
-    out = []
-    for name in names:
-        try:
-            predict, features, params = _REGISTRY[name](train, seed, options)
-            out.append((misclassification_rate(predict(test_x), test_labels),
-                        float(features), params))
-        except _FIT_FAILURES:
-            out.append(None)
-    return out
+def _score_unit(name: str, train: LabeledDataset, test_x: np.ndarray, test_labels: np.ndarray,
+                seed: int, options: HarnessOptions) -> tuple[float, float, dict] | None:
+    """Fit the named classifier on ``train`` and score it on the test
+    block: (error, features_used, chosen_params), or None where the fit
+    failed.  A tuned classifier runs its nested CV on the training data
+    only."""
+    try:
+        predict, features, params = _REGISTRY[name](train, seed, options)
+        return misclassification_rate(predict(test_x), test_labels), float(features), params
+    except _FIT_FAILURES:
+        return None
 
 
 @dataclass
@@ -363,7 +359,7 @@ class EvalReport:
 
 
 def _report(setting: str, unit: str, names, units, options: HarnessOptions) -> EvalReport:
-    """Aggregate the per-unit results of `_score_unit` into a report."""
+    """Aggregate the units' results, one `_score_unit` result per name, into a report."""
     stats = [ClassifierStats(name) for name in names]
     for results in units:
         for s, result in zip(stats, results):
@@ -389,8 +385,8 @@ def _sim_rep(shared, rep: int) -> list[tuple[float, float, dict] | None]:
     config, names, seed, options = shared
     train = generate(config, rngmod.generator(seed, "rep", rep, "train"))
     test = generate(config, rngmod.generator(seed, "rep", rep, "test"))
-    return _score_unit(names, train, test.x, test.labels,
-                       rngmod.child_seed(seed, "rep", rep), options)
+    rep_seed = rngmod.child_seed(seed, "rep", rep)
+    return [_score_unit(name, train, test.x, test.labels, rep_seed, options) for name in names]
 
 
 def _openblas_function(name: str):
@@ -515,8 +511,8 @@ def _cv_job(shared, job) -> tuple[float, float, dict] | None:
     ds, splits, seed, options = shared
     f, name = job
     tr, te = splits[f]
-    return _score_unit([name], _subset(ds, tr), ds.x[te], ds.labels[te],
-                       rngmod.child_seed(seed, "fold", f), options)[0]
+    return _score_unit(name, _subset(ds, tr), ds.x[te], ds.labels[te],
+                       rngmod.child_seed(seed, "fold", f), options)
 
 
 def run_cv_benchmark(ds: LabeledDataset, classifiers, cv: CvConfig,

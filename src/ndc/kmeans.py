@@ -33,8 +33,9 @@ its one-config case.  A Lloyd step of all live lanes is one one-hot
 product for the centers and one kernel call for the distances, so the
 Python work per step does not grow with the number of restarts.  On tall
 data (k * p < n) `FitData` holds Gram matrices instead of the data, and
-a step costs O(p^2) per center instead of O(n p); see `FitData.of`.  A
-lane leaves when its labels repeat or after `MAX_ITERS` steps.  A lane
+a step costs O(p^2) per center instead of O(n p); see `FitData.of`.  In
+both Lloyd iterations a lane leaves by one rule (`_lloyd`): when its
+labels repeat, its step fails, or after `MAX_ITERS` steps.  A lane
 whose initialization leaves a cluster empty, or whose class group
 empties during the alternation, draws a fresh initialization from its
 own stream, up to `MAX_ATTEMPTS` attempts, so every stream is consumed
@@ -288,39 +289,47 @@ def _draw_lanes(d2: np.ndarray, streams: list[np.random.Generator]) -> np.ndarra
     return idx
 
 
+def _lloyd(step, labels: np.ndarray, *state: np.ndarray):
+    """Run ``step(labels, *state) -> (new labels, failed)`` on the live
+    lanes from their (lanes x p) ``labels``; it may update the per-lane
+    ``state`` arrays in place.  A lane leaves, taking its rows of
+    ``state``, when its labels repeat, when its step fails, or after
+    `MAX_ITERS` steps.  Returns ``(labels, steps, failed)`` per lane."""
+    out, steps, failed = labels.copy(), np.zeros(len(labels), np.intp), np.zeros(len(labels), bool)
+    live = np.arange(len(labels))
+    for it in range(1, MAX_ITERS + 1):
+        if not len(live):
+            break
+        new, fail = step(labels, *state)
+        out[live], steps[live], failed[live] = new, it, fail
+        moving = ~fail & (new != labels).any(axis=1)
+        live, labels, state = live[moving], new[moving], [s[moving] for s in state]
+    return out, steps, failed
+
+
 def _lloyd_lanes(fit_data: FitData, seeds: np.ndarray) -> np.ndarray:
     """Standard Lloyd iterations of every lane from the seed features that
-    `_seed_lanes` drew.
-
-    Returns the (lanes x n_points) labels.  A lane stops when its labels
-    repeat or after `MAX_ITERS` steps; an emptied cluster keeps its
-    previous center.
+    `_seed_lanes` drew, as (lanes x n_points) labels.  A `_lloyd` step
+    updates the centers, an emptied cluster keeping its own, then assigns;
+    the first, from labels of -1, assigns to the seeds, so a lane assigns
+    at most `MAX_ITERS` times.  No step fails.
     """
     points = fit_data.points
-    centers, centers_sq = points[seeds], fit_data.point_sq[seeds]
-    n_clusters, dim = centers.shape[1:]
-    labels = np.empty((len(centers), len(points)), dtype=np.intp)
-    live = np.arange(len(centers))
-    current = None
-    for it in range(MAX_ITERS):
+    n_clusters, dim = seeds.shape[1], points.shape[1]
+
+    def step(labels, centers, centers_sq):
+        if labels[0, 0] >= 0:  # -1 in every lane before the first step
+            onehot = _onehot(labels, n_clusters).reshape(-1, len(points))
+            sizes = onehot.sum(axis=1)
+            flat, filled = centers.reshape(-1, dim), sizes > 0
+            np.divide(onehot @ points, sizes[:, None], out=flat, where=filled[:, None])
+            np.copyto(centers_sq.reshape(-1), fit_data.center_sq(flat, onehot, sizes), where=filled)
         dist = fit_data.sq_distances_to(0, centers.reshape(-1, dim), centers_sq.ravel())
-        new = dist.reshape(len(points), len(live), n_clusters).argmin(axis=2).T
-        labels[live] = new
-        if current is not None:
-            moved = (new != current).any(axis=1)
-            live, new = live[moved], new[moved]
-            centers, centers_sq = centers[moved], centers_sq[moved]
-        if not len(live) or it == MAX_ITERS - 1:
-            break
-        onehot = _onehot(new, n_clusters).reshape(-1, len(points))
-        sizes = onehot.sum(axis=1)
-        filled = sizes > 0
-        flat = centers.reshape(-1, dim)
-        np.divide(onehot @ points, sizes[:, None], out=flat, where=filled[:, None])
-        centers_sq = np.where(filled, fit_data.center_sq(flat, onehot, sizes),
-                              centers_sq.ravel()).reshape(centers_sq.shape)
-        current = new
-    return labels
+        new = dist.reshape(len(points), len(labels), n_clusters).argmin(axis=2).T
+        return new, np.zeros(len(labels), dtype=bool)
+
+    start = np.full((len(seeds), len(points)), -1, dtype=np.intp)
+    return _lloyd(step, start, points[seeds], fit_data.point_sq[seeds])[0]
 
 
 def _init_lanes(fit_data: FitData, selection: bool,
@@ -388,29 +397,17 @@ def _lane_distances(fit_data: FitData, special, classes, lam: np.ndarray) -> np.
 def _refine_lanes(fit_data: FitData, labels: np.ndarray,
                   lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The adapted alternation of every lane from its (lanes x p) labels,
-    group 0 being the special group, lane i at multiplier ``lam[i]``.
-
-    Each step recomputes the centers and reassigns every feature to its
-    nearest one, ties to the smallest group index.  A lane leaves when its
-    labels repeat, after `MAX_ITERS` steps, or when a class group empties.
-    Returns ``(labels, iterations, emptied)`` per lane.
+    group 0 being the special group, lane i at multiplier ``lam[i]``.  A
+    `_lloyd` step recomputes the centers and reassigns every feature to
+    its nearest one, ties to the smallest group index, and fails when a
+    class group empties.  Returns ``(labels, iterations, emptied)``.
     """
-    out = labels.copy()
-    iterations = np.zeros(len(labels), dtype=np.intp)
-    emptied = np.zeros(len(labels), dtype=bool)
-    live, current = np.arange(len(labels)), labels
-    for it in range(1, MAX_ITERS + 1):
-        if not len(live):
-            break
-        special, classes = _lane_centers(fit_data, current)
+    def step(labels, lam):
+        special, classes = _lane_centers(fit_data, labels)
         new = _lane_distances(fit_data, special, classes, lam).argmin(axis=0).T
-        empty = (_group_sizes(new, len(classes) + 1)[:, 1:] == 0).any(axis=1)
-        out[live] = new
-        iterations[live] = it
-        emptied[live[empty]] = True
-        moving = ~empty & (new != current).any(axis=1)
-        live, current, lam = live[moving], new[moving], lam[moving]
-    return out, iterations, emptied
+        return new, (_group_sizes(new, len(classes) + 1)[:, 1:] == 0).any(axis=1)
+
+    return _lloyd(step, labels, lam)
 
 
 def _lane_width(fit_data: FitData) -> int:

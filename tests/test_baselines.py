@@ -22,7 +22,7 @@ from ndc.baselines import (
     nsc_predict_many,
     nsc_scores_many,
 )
-from ndc.classifier import NdcModel, predict_many
+from ndc.classifier import NdcModel, compute_centroids, predict_many, predict_scores_many
 from ndc.data import FeaturePartition, LabeledDataset, row_blocks, sq_distances
 
 
@@ -445,11 +445,16 @@ def test_knn_blocks_are_multiples_of_the_gemm_rows():
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 200), p=st.integers(1, 30),
        k=st.integers(2, 4), rows=st.integers(1, 200))
 @example(seed=0, n=97, p=3, k=2, rows=48).via("a one-row remainder")
-def test_nc_and_nsc_blocks_keep_every_score_bit(seed, n, p, k, rows):
+def test_nc_nsc_and_ndc_blocks_keep_every_score_bit(seed, n, p, k, rows):
     rng = np.random.default_rng(seed)
     ds = random_dataset(rng, k=k, p=max(p, k), n_per_class=5)
     x = rng.normal(size=(n, ds.p)) * 10.0 ** rng.integers(-3, 4, size=ds.p)
     nc, nsc = nc_fit(ds), nsc_fit(ds, 0.3)
+    # every class gets a feature, and the rest go to any group, the special one too
+    labels = rng.permutation(np.concatenate([np.arange(1, k + 1),
+                                             rng.integers(0, k + 1, size=ds.p - k)]))
+    ndc_model = compute_centroids(ds, FeaturePartition(
+        tuple(np.flatnonzero(labels == j) for j in range(k + 1)), has_special=True))
     # the whole cube at once, as nc and nsc computed it before the blocks
     cube = np.square(x[:, None, :] - nc.centroids[None, :, :]).sum(axis=2)
     z = np.subtract(x[:, None, :], nsc.shrunken[None, :, :])
@@ -460,6 +465,12 @@ def test_nc_and_nsc_blocks_keep_every_score_bit(seed, n, p, k, rows):
     assert whole.tobytes() == blocked.tobytes() == cube.tobytes()
     whole, blocked = _one_block_and_blocked(nsc_scores_many, nsc, x, rows, row_bytes)
     assert whole.tobytes() == blocked.tobytes() == nsc_cube.tobytes()
+    # each class's columns gathered for every row at once, as ndc scored before the blocks
+    ndc_scores = np.stack([np.square(x[:, g] - c).mean(axis=1) for g, c in
+                           zip(ndc_model.partition.class_groups, ndc_model.centroids)], axis=1)
+    row_bytes = 8 * max(map(len, ndc_model.partition.class_groups))
+    whole, blocked = _one_block_and_blocked(predict_scores_many, ndc_model, x, rows, row_bytes)
+    assert whole.tobytes() == blocked.tobytes() == ndc_scores.tobytes()
 
 
 @pytest.mark.parametrize("name,message", [
@@ -496,3 +507,21 @@ def test_knn_holds_blocks_not_the_test_x_train_distances():
         tracemalloc.stop()
     assert len(labels) == 2000
     assert peak < 8 << 20
+
+
+def test_ndc_holds_blocks_not_each_class_gather_of_every_row():
+    # each class's 5000 x 100 gather is 3.8 MB; held with its difference
+    # from the centroid it peaks near 7.8 MB, the mask of finite
+    # entries that feature_rows checks being 1.9 MB
+    rng = np.random.default_rng(39)
+    ds = LabeledDataset.from_arrays(rng.normal(size=(8, 400)), np.arange(8) % 4 + 1)
+    model = compute_centroids(ds, FeaturePartition(tuple(np.arange(j, 400, 4) for j in range(4))))
+    x = rng.normal(size=(5000, 400))
+    tracemalloc.start()
+    try:
+        labels = predict_many(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == 5000
+    assert peak < 4 << 20

@@ -461,6 +461,33 @@ def test_predict_non_utf8_csv_exit_2_writing_nothing(tmp_path, toy_csv, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--sim", "2", "--level", "0.9", "--d", "3", "--out-train", "{dir}",
+     "--out-test", "{tmp}/test.csv"],
+    ["fit", "{dir}"],
+    ["fit", "{data}", "--restarts", "2", "--out", "{dir}"],
+    ["predict", "{dir}", "{data}"],
+    ["predict", "{model}", "{dir}"],
+    ["predict", "{model}", "{data}", "--out", "{dir}"],
+    ["benchmark", "--data", "{dir}"],
+    ["benchmark", "--sim", "2", "--level", "0.9", "--d", "3", "--classifiers", "nc",
+     "--reps", "2", "--threads", "1", "--out", "{dir}"],
+    ["oracle", "--data", "{dir}"],
+], ids=["simulate-out", "fit-in", "fit-out", "predict-model", "predict-data", "predict-out",
+        "benchmark-data", "benchmark-out", "oracle-data"])
+def test_a_path_that_cannot_be_opened_exit_2(tmp_path, toy_csv, toy_partition, toy_ds, capsys,
+                                                args):
+    # a directory where a file is read or written raises IsADirectoryError,
+    # an OSError like FileNotFoundError
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    model = tmp_path / "model.json"
+    save_model(compute_centroids(toy_ds, toy_partition), model)
+    paths = {"dir": directory, "tmp": tmp_path, "data": toy_csv, "model": model}
+    assert main([arg.format(**paths) for arg in args]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{directory}'\n"
+
+
 @pytest.mark.parametrize("label", ["1" + "0" * 30, "-" + "9" * 20])
 def test_fit_label_beyond_int64_exit_2(tmp_path, capsys, label):
     data = tmp_path / "big.csv"

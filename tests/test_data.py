@@ -492,6 +492,10 @@ def test_csv_leading_byte_order_mark_is_accepted(tmp_path):
     (b'label,x1\n1,0.5\n2,"a\xe9\nb"\n', "row 3: not UTF-8 text"),  # its first line
     (b'label,x1\r\n1,0.5\r\n2,"a\xe9\r\nb\r\nc"\r\n1,2\r\n', "row 3: not UTF-8 text"),
     (b'"lab\xe9\nel",x1\n1,2\n', "row 1: not UTF-8 text"),  # a two-line header cell
+    # an unclosed quote runs to the end of the file, final line break included
+    (b'label,x1\n1,2\n2,"a\xe9\nb\n', "row 3: not UTF-8 text"),
+    (b'label,x1\n1,2\n2,"a\xe9\nb\n3,4\n', "row 3: not UTF-8 text"),
+    (b'label,x1\n1,2\n\n2,"a\nb\xe9\r', "row 5: not UTF-8 text"),  # after a blank line
     (b"label,x1\n1,2\n2,\xe2\x82\n", "row 3: not UTF-8 text"),  # a truncated sequence
     (b"label,x1\n1,2\n2,\xed\xa0\x80\n", "row 3: not UTF-8 text"),  # an encoded surrogate
     (b"label,x1\n1" + b"0" * 30 + b"\xe9,2\n", "row 2: not UTF-8 text"),  # not out of range

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ndc.kmeans
 from conftest import block_dataset, random_dataset
 from ndc import rng as rngmod
 from ndc.baselines import knn_fit, knn_predict_many
@@ -126,18 +127,24 @@ def test_knn_ties_at_the_mth_distance_match_stable_sort():
                                           ref_knn_predict_many(model, probes))
 
 
-def test_kmeans_lanes_match_reference():
+@pytest.mark.parametrize("max_iters", [1, 2, 3, ndc.kmeans.MAX_ITERS])
+def test_kmeans_lanes_match_reference(monkeypatch, max_iters):
+    # a lane assigns at most MAX_ITERS times, the first time to its seeds;
+    # on the unstructured draws the lanes of one call leave at different steps
+    monkeypatch.setattr(ndc.kmeans, "MAX_ITERS", max_iters)
     rng = np.random.default_rng(103)
-    for trial in range(12):
-        ds = block_dataset(rng, k=3, n_per_class=int(rng.integers(5, 40)),
-                           d=int(rng.integers(2, 6)), sigma2=1.8, r=int(rng.integers(0, 8)))
+    for trial in range(24):
+        ds = (block_dataset(rng, k=3, n_per_class=int(rng.integers(5, 40)),
+                            d=int(rng.integers(2, 6)), sigma2=1.8, r=int(rng.integers(0, 8)))
+              if trial < 12 else random_dataset(rng, k=2, p=int(rng.integers(20, 60))))
         points = np.ascontiguousarray(ds.x.T)
         n_clusters = int(rng.integers(1, min(6, len(points)) + 1))
-        want = ref_kmeans_rows(points, n_clusters, rngmod.generator(trial, "km"))
+        want = [ref_kmeans_rows(points, n_clusters, rngmod.generator(trial, "km", lane), max_iters)
+                for lane in range(3)]
         for fd in (FitData.of(ds), FitData.direct(ds)):
-            seeds = _seed_lanes(fd, n_clusters, [rngmod.generator(trial, "km")])
-            got = _lloyd_lanes(fd, seeds)[0]
-            np.testing.assert_array_equal(got, want)
+            streams = [rngmod.generator(trial, "km", lane) for lane in range(3)]
+            np.testing.assert_array_equal(_lloyd_lanes(fd, _seed_lanes(fd, n_clusters, streams)),
+                                          want)
 
 
 def test_kmeans_lanes_keep_an_emptied_center():
